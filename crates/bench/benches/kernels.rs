@@ -9,9 +9,9 @@ use fnr_mac::{FusedMacUnit, MacArray, ReductionTreeKind};
 use fnr_nerf::hashgrid::{HashGrid, HashGridConfig};
 use fnr_nerf::render::{composite, ShadedSample};
 use fnr_nerf::vec3::Vec3;
-use fnr_noc::Benes;
+use fnr_noc::{Benes, Delivery, DistTree, NocKind};
 use fnr_sim::{gustavson_map, partition_passes};
-use fnr_tensor::sparse::EncodedMatrix;
+use fnr_tensor::sparse::{BitmapMatrix, CooMatrix, CsrLayout, CsrMatrix, EncodedMatrix};
 use fnr_tensor::{gen, Precision, SparsityFormat, SrCalculator};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -40,6 +40,29 @@ fn bench_kernels(c: &mut Criterion) {
     let benes = Benes::new(64);
     let dest: Vec<usize> = (0..64).rev().collect();
     g.bench_function("benes_route_64", |b| b.iter(|| benes.route(black_box(&dest))));
+
+    // HMF distribution tree over 64 leaves: a half-array multicast plus a
+    // unicast, with the multicast value resident (feedback on).
+    let wavefront = [Delivery::new(1, (0..32).collect()), Delivery::new(2, vec![40])];
+    let mut tree = DistTree::new(64, NocKind::Hmf);
+    tree.deliver(&wavefront[..1]);
+    g.bench_function("dist_tree_route_64", |b| b.iter(|| tree.route(black_box(&wavefront))));
+    g.bench_function("dist_tree_deliver_64", |b| {
+        b.iter(|| tree.deliver(black_box(&wavefront)))
+    });
+
+    // Sparse encoders on a 256x256 INT4 tile (the paper's 4-bit tile) at
+    // 50 % sparsity, where the zero test is least predictable.
+    let big = gen::random_sparse_i32(256, 256, 0.5, Precision::Int4, 8);
+    g.bench_function("encode_coo_256x256", |b| {
+        b.iter(|| CooMatrix::from_dense(black_box(&big), Precision::Int4))
+    });
+    g.bench_function("encode_csr_256x256", |b| {
+        b.iter(|| CsrMatrix::from_dense(black_box(&big), CsrLayout::RowMajor, Precision::Int4))
+    });
+    g.bench_function("encode_bitmap_256x256", |b| {
+        b.iter(|| BitmapMatrix::from_dense(black_box(&big), Precision::Int4))
+    });
 
     // Format codec: online sparsity detection + optimal encode (64x64 tile).
     let tile = gen::random_sparse_i32(64, 64, 0.8, Precision::Int16, 7);

@@ -10,10 +10,14 @@ use crate::scene::Scene;
 use crate::vec3::Vec3;
 
 /// A binary occupancy grid over the unit cube.
+///
+/// Stored as bitsets: the `res` cells `k` of each `(i, j)` row take
+/// ⌈res/64⌉ `u64` words, cell `k` at bit `k % 64` of word `k / 64`. Bits past
+/// `res` are always clear.
 #[derive(Debug, Clone)]
 pub struct OccupancyGrid {
     res: usize,
-    bits: Vec<bool>,
+    words: Vec<u64>,
 }
 
 impl OccupancyGrid {
@@ -22,13 +26,14 @@ impl OccupancyGrid {
     /// one-cell dilation to avoid clipping surfaces).
     pub fn build(scene: &dyn Scene, res: usize, threshold: f32) -> Self {
         if res == 0 {
-            return OccupancyGrid { res, bits: Vec::new() };
+            return OccupancyGrid { res, words: Vec::new() };
         }
         // Density sampling fans one i-plane per pool task; every cell is an
         // independent scene query, so the grid is byte-identical at any
         // `FNR_THREADS` (tests/parallel_equivalence.rs enforces).
-        let mut raw = vec![false; res * res * res];
-        fnr_par::par_for_chunks(&mut raw, res * res, |i, plane| {
+        let wpr = res.div_ceil(64);
+        let mut raw = vec![0u64; res * res * wpr];
+        fnr_par::par_for_chunks(&mut raw, res * wpr, |i, plane| {
             for j in 0..res {
                 for k in 0..res {
                     let p = Vec3::new(
@@ -36,41 +41,48 @@ impl OccupancyGrid {
                         (j as f32 + 0.5) / res as f32,
                         (k as f32 + 0.5) / res as f32,
                     );
-                    plane[j * res + k] = scene.density(p) > threshold;
+                    plane[j * wpr + k / 64] |= ((scene.density(p) > threshold) as u64) << (k % 64);
                 }
             }
         });
         // Dilate by one cell, twice (conservative: avoids clipping surfaces).
-        let bits = dilated(&dilated(&raw, res), res);
-        OccupancyGrid { res, bits }
+        let words = dilated(&dilated(&raw, res), res);
+        OccupancyGrid { res, words }
     }
 }
 
-/// One 6-neighbourhood dilation pass, written as a gather (`out[c] =
-/// src[c] ∨ any-neighbour`) so planes can run in parallel without
-/// overlapping writes; equivalent to the scatter formulation.
-fn dilated(src: &[bool], res: usize) -> Vec<bool> {
-    let mut out = vec![false; src.len()];
-    fnr_par::par_for_chunks(&mut out, res * res, |i, plane| {
-        for j in 0..res {
-            for k in 0..res {
-                let mut v = src[(i * res + j) * res + k];
-                if !v {
-                    for (di, dj, dk) in
-                        [(1i32, 0i32, 0i32), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-                    {
-                        let (ni, nj, nk) = (i as i32 + di, j as i32 + dj, k as i32 + dk);
-                        if (0..res as i32).contains(&ni)
-                            && (0..res as i32).contains(&nj)
-                            && (0..res as i32).contains(&nk)
-                            && src[((ni as usize) * res + nj as usize) * res + nk as usize]
-                        {
-                            v = true;
-                            break;
-                        }
-                    }
+/// One 6-neighbourhood dilation pass over the row bitsets of a `res³`
+/// grid: each output row is `r | r<<1 | r>>1` (carrying across words) OR
+/// the rows at `(i±1, j)` and `(i, j±1)`. Every i-plane is written by one
+/// task that reads only `src`, so planes run in parallel.
+fn dilated(src: &[u64], res: usize) -> Vec<u64> {
+    let wpr = res.div_ceil(64);
+    let row = |i: usize, j: usize| &src[(i * res + j) * wpr..][..wpr];
+    // `r<<1` may carry cell `res - 1` into the padding; clear it again.
+    let tail = match res % 64 {
+        0 => u64::MAX,
+        t => (1u64 << t) - 1,
+    };
+    let mut out = vec![0u64; src.len()];
+    fnr_par::par_for_chunks(&mut out, res * wpr, |i, plane| {
+        for (j, o) in plane.chunks_exact_mut(wpr).enumerate() {
+            let r = row(i, j);
+            for w in 0..wpr {
+                let from_below = if w > 0 { r[w - 1] >> 63 } else { 0 };
+                let from_above = if w + 1 < wpr { r[w + 1] << 63 } else { 0 };
+                o[w] = r[w] | (r[w] << 1) | from_below | (r[w] >> 1) | from_above;
+            }
+            o[wpr - 1] &= tail;
+            let neighbours = [
+                (i > 0).then(|| row(i - 1, j)),
+                (i + 1 < res).then(|| row(i + 1, j)),
+                (j > 0).then(|| row(i, j - 1)),
+                (j + 1 < res).then(|| row(i, j + 1)),
+            ];
+            for n in neighbours.into_iter().flatten() {
+                for (a, &b) in o.iter_mut().zip(n) {
+                    *a |= b;
                 }
-                plane[j * res + k] = v;
             }
         }
     });
@@ -83,6 +95,12 @@ impl OccupancyGrid {
         self.res
     }
 
+    /// Cell `k` of row `row = i·res + j`.
+    #[inline]
+    fn cell(&self, row: usize, k: usize) -> bool {
+        (self.words[row * self.res.div_ceil(64) + k / 64] >> (k % 64)) & 1 == 1
+    }
+
     /// Whether the cell containing `p` is occupied (`false` outside the
     /// cube).
     pub fn occupied(&self, p: Vec3) -> bool {
@@ -92,7 +110,7 @@ impl OccupancyGrid {
             && (0..self.res as i32).contains(&j)
             && (0..self.res as i32).contains(&k)
         {
-            self.bits[((i as usize) * self.res + j as usize) * self.res + k as usize]
+            self.cell(i as usize * self.res + j as usize, k as usize)
         } else {
             false
         }
@@ -100,16 +118,19 @@ impl OccupancyGrid {
 
     /// Fraction of occupied cells (0 for an empty grid).
     pub fn occupancy(&self) -> f64 {
-        if self.bits.is_empty() {
+        if self.res == 0 {
             return 0.0;
         }
-        self.bits.iter().filter(|&&b| b).count() as f64 / self.bits.len() as f64
+        let occupied: u64 = self.words.iter().map(|w| w.count_ones() as u64).sum();
+        occupied as f64 / self.res.pow(3) as f64
     }
 
-    /// The raw occupancy bits in `(i·res + j)·res + k` order — exposed so
-    /// equivalence tests can compare grids cell-for-cell.
-    pub fn cells(&self) -> &[bool] {
-        &self.bits
+    /// The occupancy bits in `(i·res + j)·res + k` order, one `bool` per
+    /// cell — exposed so equivalence tests can compare grids cell-for-cell.
+    pub fn cells(&self) -> Vec<bool> {
+        (0..self.res * self.res)
+            .flat_map(|row| (0..self.res).map(move |k| self.cell(row, k)))
+            .collect()
     }
 }
 
@@ -210,6 +231,66 @@ mod tests {
         assert_eq!(g.resolution(), 0);
         assert!(g.cells().is_empty());
         assert!(!g.occupied(Vec3::splat(0.5)));
+    }
+
+    /// The gather formulation `dilated` replaced, kept as its oracle:
+    /// `out[c] = src[c] ∨ any in-range 6-neighbour`, one `bool` per cell.
+    fn dilated_gather(src: &[bool], res: usize) -> Vec<bool> {
+        let at = |i: usize, j: usize, k: usize| src[(i * res + j) * res + k];
+        let mut out = vec![false; src.len()];
+        for i in 0..res {
+            for j in 0..res {
+                for k in 0..res {
+                    out[(i * res + j) * res + k] = at(i, j, k)
+                        || (i > 0 && at(i - 1, j, k))
+                        || (i + 1 < res && at(i + 1, j, k))
+                        || (j > 0 && at(i, j - 1, k))
+                        || (j + 1 < res && at(i, j + 1, k))
+                        || (k > 0 && at(i, j, k - 1))
+                        || (k + 1 < res && at(i, j, k + 1));
+                }
+            }
+        }
+        out
+    }
+
+    /// Packs `res³` cells into the grid's row bitsets.
+    fn pack(cells: &[bool], res: usize) -> Vec<u64> {
+        let wpr = res.div_ceil(64);
+        let mut words = vec![0u64; res * res * wpr];
+        for (c, &b) in cells.iter().enumerate() {
+            let (row, k) = (c / res, c % res);
+            words[row * wpr + k / 64] |= (b as u64) << (k % 64);
+        }
+        words
+    }
+
+    #[test]
+    fn bitset_dilation_matches_gather_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0cc);
+        // Multi-word rows from res 65 on; 128 fills whole words, 129/130
+        // spill one and two cells into a third word.
+        for res in 1..=130 {
+            let density = [0.002, 0.02, 0.2][res % 3];
+            let src: Vec<bool> = (0..res * res * res).map(|_| rng.gen_bool(density)).collect();
+            let got = dilated(&pack(&src, res), res);
+            assert_eq!(got, pack(&dilated_gather(&src, res), res), "res {res}");
+        }
+    }
+
+    #[test]
+    fn cells_and_occupied_read_the_same_bits() {
+        let grid = OccupancyGrid::build(&MicScene, 70, 0.5);
+        let cells = grid.cells();
+        assert_eq!(cells.len(), 70 * 70 * 70);
+        let occupied = cells.iter().filter(|&&b| b).count();
+        assert_eq!(grid.occupancy(), occupied as f64 / cells.len() as f64);
+        for (c, &b) in cells.iter().enumerate().step_by(97) {
+            let (i, j, k) = (c / (70 * 70), (c / 70) % 70, c % 70);
+            let centre = |v: usize| (v as f32 + 0.5) / 70.0;
+            assert_eq!(grid.occupied(Vec3::new(centre(i), centre(j), centre(k))), b, "cell {c}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::dataflow::Delivery;
 use crate::traffic::TrafficStats;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Distribution-tree flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,9 +50,9 @@ pub struct DistTree {
     leaves: usize,
     kind: NocKind,
     stats: TrafficStats,
-    /// Values resident in the array after the previous wavefront
-    /// (`value_id → leaf set`), reusable via feedback in HMF mode.
-    resident: HashMap<u64, Vec<usize>>,
+    /// Ids of the values resident in the array after the previous
+    /// wavefront, reusable via feedback in HMF mode.
+    resident: HashSet<u64>,
 }
 
 impl DistTree {
@@ -64,7 +64,7 @@ impl DistTree {
     /// Panics if `leaves == 0`.
     pub fn new(leaves: usize, kind: NocKind) -> Self {
         assert!(leaves > 0, "tree needs at least one leaf");
-        DistTree { leaves, kind, stats: TrafficStats::default(), resident: HashMap::new() }
+        DistTree { leaves, kind, stats: TrafficStats::default(), resident: HashSet::new() }
     }
 
     /// Number of endpoints.
@@ -96,39 +96,46 @@ impl DistTree {
     /// Routes one wavefront *without* delivering values: returns the switch
     /// settings and hop count (used by the routing-control-signal generator
     /// and the walkthrough example).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a destination is `>= self.leaves()`.
     pub fn route(&self, deliveries: &[Delivery]) -> RoutePlan {
-        let depth = self.depth();
-        let padded = 1usize << depth;
-        // Union of destination marks per node of a perfect binary tree.
-        // Node indexing: level 0 = root. Node at (level, i) covers leaves
-        // [i*span, (i+1)*span) with span = padded >> level.
-        let mut node_settings = Vec::new();
-        let mut hops = 0u64;
-        for level in 0..depth {
-            let span = padded >> (level + 1); // child span
-            let nodes = 1usize << level;
-            for i in 0..nodes {
-                let left_lo = i * 2 * span;
-                let right_lo = left_lo + span;
-                let mut left_on = false;
-                let mut right_on = false;
-                for d in deliveries {
-                    for &leaf in &d.dests {
-                        if leaf >= left_lo && leaf < left_lo + span {
-                            left_on = true;
-                        }
-                        if leaf >= right_lo && leaf < right_lo + span {
-                            right_on = true;
-                        }
-                    }
-                }
-                let feedback_on = self.kind == NocKind::Hmf
-                    && deliveries.iter().any(|d| self.resident.contains_key(&d.value_id));
-                node_settings.push((left_on, right_on, feedback_on));
-                hops += left_on as u64 + right_on as u64;
+        let covered = self.coverage(deliveries);
+        // Feedback depends only on the wavefront: some value is resident.
+        let feedback_on = self.kind == NocKind::Hmf
+            && deliveries.iter().any(|d| self.resident.contains(&d.value_id));
+        // Internal node n has children 2n+1 and 2n+2 (breadth-first order).
+        let node_settings: Vec<(bool, bool, bool)> = (0..self.switch_nodes())
+            .map(|n| (covered[2 * n + 1], covered[2 * n + 2], feedback_on))
+            .collect();
+        RoutePlan { node_settings, hops: edges_traversed(&covered), depth: self.depth() }
+    }
+
+    /// Heap-indexed coverage of the padded tree: node 0 is the root, node
+    /// `n` has children `2n+1` and `2n+2`, and leaf `l` is node
+    /// `padded - 1 + l`. A node is covered iff some destination lies in its
+    /// subtree, i.e. iff the edge into it is traversed.
+    ///
+    /// Holds the one destination range check of [`Self::route`] and
+    /// [`Self::deliver`]: leaves of the padding are out of range too.
+    fn coverage(&self, deliveries: &[Delivery]) -> Vec<bool> {
+        let internal = self.switch_nodes();
+        let mut covered = vec![false; 2 * internal + 1];
+        for d in deliveries {
+            for &leaf in &d.dests {
+                assert!(
+                    leaf < self.leaves,
+                    "destination {leaf} out of range for a tree of {} leaves",
+                    self.leaves
+                );
+                covered[internal + leaf] = true;
             }
         }
-        RoutePlan { node_settings, hops, depth }
+        for n in (0..internal).rev() {
+            covered[n] = covered[2 * n + 1] | covered[2 * n + 2];
+        }
+        covered
     }
 
     /// Delivers one wavefront of values to the leaves.
@@ -145,31 +152,28 @@ impl DistTree {
     ///
     /// # Panics
     ///
-    /// Panics if a destination is out of range or two deliveries collide on
-    /// one leaf.
+    /// Panics if a destination is `>= self.leaves()` (the same check as
+    /// [`Self::route`]) or two deliveries collide on one leaf.
     pub fn deliver(&mut self, deliveries: &[Delivery]) -> Vec<Option<u64>> {
-        let plan = self.route(deliveries);
+        let hops = edges_traversed(&self.coverage(deliveries));
         let mut out: Vec<Option<u64>> = vec![None; self.leaves];
         for d in deliveries {
-            let reusable = self.kind == NocKind::Hmf && self.resident.contains_key(&d.value_id);
+            let reusable = self.kind == NocKind::Hmf && self.resident.contains(&d.value_id);
             if reusable {
                 self.stats.feedback_hops += 1;
             } else {
                 self.stats.sram_reads += 1;
             }
             for &leaf in &d.dests {
-                assert!(leaf < self.leaves, "destination {leaf} out of range");
                 assert!(out[leaf].is_none(), "leaf {leaf} receives two values in one wavefront");
                 out[leaf] = Some(d.value_id);
             }
         }
-        self.stats.noc_hops += plan.hops;
+        self.stats.noc_hops += hops;
         self.stats.wavefronts += 1;
         // Update residency for the next wavefront.
         self.resident.clear();
-        for d in deliveries {
-            self.resident.insert(d.value_id, d.dests.clone());
-        }
+        self.resident.extend(deliveries.iter().map(|d| d.value_id));
         out
     }
 
@@ -177,6 +181,11 @@ impl DistTree {
     pub fn switch_nodes(&self) -> usize {
         (1usize << self.depth()) - 1
     }
+}
+
+/// Tree edges traversed: one per covered node below the root.
+fn edges_traversed(covered: &[bool]) -> u64 {
+    covered[1..].iter().map(|&c| c as u64).sum()
 }
 
 #[cfg(test)]
@@ -260,6 +269,20 @@ mod tests {
         // Root: only left subtree on.
         assert_eq!(plan.node_settings[0], (true, false, false));
         assert_eq!(plan.node_settings.len(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 5 out of range for a tree of 5 leaves")]
+    fn route_rejects_padding_leaves() {
+        // 5 leaves pad to 8: leaf 5 exists in the padded tree but not in
+        // the array, so routing to it is as wrong as delivering to it.
+        DistTree::new(5, NocKind::Hm).route(&[Delivery::new(1, vec![5])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 9 out of range for a tree of 5 leaves")]
+    fn deliver_rejects_out_of_range_leaves() {
+        DistTree::new(5, NocKind::Hmf).deliver(&[Delivery::new(1, vec![0, 9])]);
     }
 
     #[test]

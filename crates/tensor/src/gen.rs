@@ -12,7 +12,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Panics
 ///
-/// Panics if `sparsity` is outside `[0, 1]`.
+/// Panics if `sparsity` is outside `[0, 1]` or the matrix has more than
+/// `u32::MAX` elements.
 pub fn random_sparse_i32(
     rows: usize,
     cols: usize,
@@ -24,7 +25,8 @@ pub fn random_sparse_i32(
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let n = rows * cols;
     let nnz = ((n as f64) * (1.0 - sparsity)).round() as usize;
-    let mut idx: Vec<usize> = (0..n).collect();
+    let n32 = u32::try_from(n).expect("random_sparse_i32: more than u32::MAX elements");
+    let mut idx: Vec<u32> = (0..n32).collect();
     idx.shuffle(&mut rng);
     let mut m = Matrix::zeros(rows, cols);
     let (lo, hi) = precision.range();
@@ -33,7 +35,7 @@ pub fn random_sparse_i32(
         while v == 0 {
             v = rng.gen_range(lo..=hi);
         }
-        m.as_mut_slice()[i] = v;
+        m.as_mut_slice()[i as usize] = v;
     }
     m
 }

@@ -1,3 +1,4 @@
+use super::presence_word;
 use crate::{Matrix, Precision};
 
 /// Bitmap-compressed matrix: one presence bit per element (packed into
@@ -18,13 +19,19 @@ pub struct BitmapMatrix {
 impl BitmapMatrix {
     /// Encodes a dense matrix.
     pub fn from_dense(m: &Matrix<i32>, precision: Precision) -> Self {
-        let n = m.rows() * m.cols();
-        let mut bits = vec![0u64; n.div_ceil(64)];
-        let mut values = Vec::new();
-        for (i, &v) in m.as_slice().iter().enumerate() {
-            if v != 0 {
-                bits[i / 64] |= 1 << (i % 64);
-                values.push(v);
+        // One pass over 64-element chunks of the row-major data: each chunk
+        // yields its presence word and then the values at its set bits.
+        let data = m.as_slice();
+        let mut bits = vec![0u64; data.len().div_ceil(64)];
+        let mut values = vec![0i32; m.nnz()];
+        let mut k = 0;
+        for (word, chunk) in bits.iter_mut().zip(data.chunks(64)) {
+            *word = presence_word(chunk);
+            let mut rest = *word;
+            while rest != 0 {
+                values[k] = chunk[rest.trailing_zeros() as usize];
+                k += 1;
+                rest &= rest - 1;
             }
         }
         BitmapMatrix { rows: m.rows(), cols: m.cols(), precision, bits, values }

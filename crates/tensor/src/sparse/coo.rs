@@ -1,3 +1,4 @@
+use super::for_each_nonzero;
 use crate::{Matrix, Precision};
 
 /// Coordinate-list sparse matrix: one `(row, col, value)` triplet per
@@ -21,13 +22,18 @@ impl CooMatrix {
     /// smaller than that).
     pub fn from_dense(m: &Matrix<i32>, precision: Precision) -> Self {
         assert!(m.rows() <= 1 << 16 && m.cols() <= 1 << 16, "tile too large for COO indices");
-        let mut row_idx = Vec::new();
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for (r, c, v) in m.iter_nonzeros() {
-            row_idx.push(r as u16);
-            col_idx.push(c as u16);
-            values.push(v);
+        let nnz = m.nnz();
+        let mut row_idx = vec![0u16; nnz];
+        let mut col_idx = vec![0u16; nnz];
+        let mut values = vec![0i32; nnz];
+        let mut k = 0;
+        for r in 0..m.rows() {
+            for_each_nonzero(m.row(r), |c, v| {
+                row_idx[k] = r as u16;
+                col_idx[k] = c as u16;
+                values[k] = v;
+                k += 1;
+            });
         }
         CooMatrix { rows: m.rows(), cols: m.cols(), precision, row_idx, col_idx, values }
     }

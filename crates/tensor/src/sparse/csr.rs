@@ -1,3 +1,4 @@
+use super::for_each_nonzero;
 use crate::dense::MacScalar;
 use crate::{Matrix, Precision, Result, TensorError};
 
@@ -44,32 +45,18 @@ impl<T: MacScalar> CsrMatrix<T> {
     /// indices are `u16`; silently wrapping them would corrupt the
     /// encoding).
     pub fn from_dense(m: &Matrix<T>, layout: CsrLayout, precision: Precision) -> Self {
-        let (major, minor) = match layout {
-            CsrLayout::RowMajor => (m.rows(), m.cols()),
-            CsrLayout::ColMajor => (m.cols(), m.rows()),
+        let minor = match layout {
+            CsrLayout::RowMajor => m.cols(),
+            CsrLayout::ColMajor => m.rows(),
         };
         assert!(
             minor <= u16::MAX as usize + 1,
             "CSR minor dimension {minor} exceeds the u16 index range"
         );
-        let mut ptr = Vec::with_capacity(major + 1);
-        let mut minor_idx = Vec::new();
-        let mut values = Vec::new();
-        ptr.push(0);
-        for i in 0..major {
-            for j in 0..minor {
-                let (r, c) = match layout {
-                    CsrLayout::RowMajor => (i, j),
-                    CsrLayout::ColMajor => (j, i),
-                };
-                let v = m.get(r, c);
-                if !v.is_zero() {
-                    minor_idx.push(j as u16);
-                    values.push(v);
-                }
-            }
-            ptr.push(values.len() as u32);
-        }
+        let (ptr, minor_idx, values) = match layout {
+            CsrLayout::RowMajor => encode_rows(m),
+            CsrLayout::ColMajor => encode_cols(m),
+        };
         CsrMatrix { rows: m.rows(), cols: m.cols(), layout, precision, ptr, minor_idx, values }
     }
 
@@ -200,6 +187,56 @@ impl<T: MacScalar> CsrMatrix<T> {
         let ptr_bits = ceil_log2((self.rows * self.cols) as u64 + 1);
         self.values.len() as u64 * per_nnz + (self.major_dim() as u64 + 1) * ptr_bits
     }
+}
+
+/// Pointer, minor-index and value arrays of `m` compressed by rows: one
+/// pass over the row slices into buffers sized by a first nnz count.
+fn encode_rows<T: MacScalar>(m: &Matrix<T>) -> (Vec<u32>, Vec<u16>, Vec<T>) {
+    let nnz = m.nnz();
+    let mut ptr = vec![0u32; m.rows() + 1];
+    let mut minor_idx = vec![0u16; nnz];
+    let mut values = vec![T::default(); nnz];
+    let mut k = 0;
+    for r in 0..m.rows() {
+        for_each_nonzero(m.row(r), |c, v| {
+            minor_idx[k] = c as u16;
+            values[k] = v;
+            k += 1;
+        });
+        ptr[r + 1] = k as u32;
+    }
+    (ptr, minor_idx, values)
+}
+
+/// Pointer, minor-index and value arrays of `m` compressed by columns.
+///
+/// A counting sort over the row slices: one pass counts each column's
+/// non-zeros into the pointer array, a second places every non-zero at its
+/// column's next free slot. Rows are walked in ascending order, so each
+/// column keeps its row indices ascending.
+fn encode_cols<T: MacScalar>(m: &Matrix<T>) -> (Vec<u32>, Vec<u16>, Vec<T>) {
+    let mut ptr = vec![0u32; m.cols() + 1];
+    for r in 0..m.rows() {
+        for (count, &v) in ptr[1..].iter_mut().zip(m.row(r)) {
+            *count += !v.is_zero() as u32;
+        }
+    }
+    for c in 0..m.cols() {
+        ptr[c + 1] += ptr[c];
+    }
+    let nnz = ptr[m.cols()] as usize;
+    let mut next = ptr[..m.cols()].to_vec();
+    let mut minor_idx = vec![0u16; nnz];
+    let mut values = vec![T::default(); nnz];
+    for r in 0..m.rows() {
+        for_each_nonzero(m.row(r), |c, v| {
+            let slot = next[c] as usize;
+            minor_idx[slot] = r as u16;
+            values[slot] = v;
+            next[c] += 1;
+        });
+    }
+    (ptr, minor_idx, values)
 }
 
 /// Bits needed to index a dimension of size `dim` (shared with COO).

@@ -14,7 +14,40 @@ pub use bitmap::BitmapMatrix;
 pub use coo::CooMatrix;
 pub use csr::{CsrLayout, CsrMatrix};
 
+use crate::dense::MacScalar;
 use crate::{Matrix, Precision, SparsityFormat};
+
+/// Presence word of `chunk` (at most 64 elements): bit `b` is set iff
+/// `chunk[b]` is non-zero. Built branch-free: one 0/1 flag byte per
+/// element, then each group of eight flags is gathered into one byte of
+/// the word by a multiply (flag `i` of a group lands on bit `56 + i`, and
+/// the other partial products fall outside the top byte without carries).
+#[inline]
+fn presence_word<T: MacScalar>(chunk: &[T]) -> u64 {
+    let mut flags = [0u8; 64];
+    for (flag, &v) in flags.iter_mut().zip(chunk) {
+        *flag = !v.is_zero() as u8;
+    }
+    flags.chunks_exact(8).enumerate().fold(0, |word, (g, group)| {
+        let group = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
+        word | ((group.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g))
+    })
+}
+
+/// Calls `f(index, value)` for every non-zero of `line`, in ascending
+/// index order. Walks 64-element presence words and their set bits, so the
+/// only data-dependent branch is the end of each word, not each element.
+#[inline]
+fn for_each_nonzero<T: MacScalar>(line: &[T], mut f: impl FnMut(usize, T)) {
+    for (base, chunk) in (0..).step_by(64).zip(line.chunks(64)) {
+        let mut word = presence_word(chunk);
+        while word != 0 {
+            let b = word.trailing_zeros() as usize;
+            f(base + b, chunk[b]);
+            word &= word - 1;
+        }
+    }
+}
 
 /// A matrix encoded in any of the four formats of the paper.
 ///
@@ -117,6 +150,23 @@ impl EncodedMatrix {
 mod tests {
     use super::*;
     use crate::gen;
+
+    #[test]
+    fn presence_word_sets_exactly_the_nonzero_bits() {
+        // Every 8-flag pattern in every byte lane, plus short chunks.
+        for pattern in 0..=255u64 {
+            for lane in 0..8 {
+                let chunk: Vec<i32> = (0..64)
+                    .map(|b| if b / 8 == lane && (pattern >> (b % 8)) & 1 == 1 { 7 } else { 0 })
+                    .collect();
+                assert_eq!(presence_word(&chunk), pattern << (8 * lane), "{pattern:#x} lane {lane}");
+                let short = &chunk[..8 * lane + 3];
+                let expect = (pattern << (8 * lane)) & ((1u64 << short.len()) - 1);
+                assert_eq!(presence_word(short), expect, "{pattern:#x} lane {lane}, short");
+            }
+        }
+        assert_eq!(presence_word(&[0.0f32, -0.0, 1.5, 0.0]), 0b100);
+    }
 
     fn sample() -> Matrix<i32> {
         gen::random_sparse_i32(16, 16, 0.7, Precision::Int8, 7)
