@@ -18,7 +18,11 @@
 //! `FNR_THREADS`, worker count, or machine — CI runs two legs and diffs
 //! it. Under `--mode virtual` the whole schedule replays on a virtual
 //! clock: the digest *and* every `lane` counter line are deterministic,
-//! which is what CI's mixed-priority deadline leg diffs.
+//! which is what CI's mixed-priority deadline leg diffs. Every mode runs
+//! the same dispatch core (scheduler, brownout, batcher) and the same
+//! outcome ledger; only the clock and the executor differ — threads and
+//! real time for `open`/`closed`, a discrete-event loop for `virtual`
+//! and `cluster`.
 //!
 //! Knobs: `--requests N`, `--pattern bursty|uniform|heavy|diurnal|flash`,
 //! `--seed S`, `--mode open|closed|virtual|cluster`, `--clients K`
@@ -37,11 +41,14 @@
 //! Robustness knobs: `--faults-live "panic=10,delay=30:150us,seed=7"`
 //! seeds a chaos injector (per-mille panic/delay rolls keyed by job
 //! hash — the same poisoned set live and virtual), `--retry N` allows N
-//! attempts per poisoned request before it resolves `failed`, and
-//! `--brownout DEPTH` downgrades Standard/Batch render precision when a
-//! lane backlog exceeds DEPTH. Every non-poisoned response stays
-//! byte-identical to the fault-free run; CI's chaos soak diffs exactly
-//! that, plus the `outcomes:` line, across `FNR_THREADS` widths.
+//! attempts per poisoned request before it resolves `failed` (retries
+//! act on real panics, so they are live-only), and `--brownout DEPTH`
+//! downgrades Standard/Batch render precision while the total queue
+//! depth is at or above DEPTH — in every mode, so `--brownout 0` prints
+//! the same `degraded` count and digest under `open`, `virtual` and
+//! `cluster`. Every non-poisoned response stays byte-identical to the
+//! fault-free run; CI's chaos soak diffs exactly that, plus the
+//! `outcomes:` line, across `FNR_THREADS` widths.
 //!
 //! Cluster mode (`--mode cluster`) replays the schedule through the
 //! N-replica consistent-hash DES (`fnr_serve::cluster`): `--replicas N`,
@@ -63,7 +70,7 @@ use std::time::Duration;
 
 use fnr_serve::workload::{generate, total_chunks, ArrivalPattern, WorkloadSpec};
 use fnr_serve::{
-    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual_with_faults,
+    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual,
     AdmissionConfig, BrownoutConfig, ClusterConfig, ClusterService, FaultInjector, FaultPlan,
     HealthConfig, HedgeConfig, PayloadMode, RetryPolicy, RouterConfig, SchedConfig, ServeReport,
     ServerConfig, ThinkTime, VirtualService, MAX_REPLICAS,
@@ -396,14 +403,13 @@ fn main() {
         // Think-time streams derive from the workload seed, so a closed-loop
         // run's sleep schedule is reproducible end to end.
         Mode::Closed => run_closed_loop_thinking(&cfg, &jobs, args.clients, think, args.seed),
-        Mode::Virtual => run_virtual_with_faults(
+        Mode::Virtual => run_virtual(
             &cfg,
             &jobs,
             VirtualService {
                 service_ns: args.service.as_nanos() as u64,
                 per_item_ns: args.service_per_item.as_nanos() as u64,
             },
-            cfg.injector,
         ),
         Mode::Cluster => unreachable!("cluster mode returned above"),
     };

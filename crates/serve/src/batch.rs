@@ -6,13 +6,13 @@
 //! shutdown. All time comes in through method arguments, so every flush
 //! policy is unit-testable without threads or sleeps.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::request::{BatchKey, ChunkSpan, Request};
 
 /// Why a batch left the batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushReason {
+pub(crate) enum FlushReason {
     /// The group reached `max_batch` members.
     Size,
     /// The group's oldest member waited past the linger timeout.
@@ -21,31 +21,20 @@ pub enum FlushReason {
     Drain,
 }
 
-impl FlushReason {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlushReason::Size => "size",
-            FlushReason::Timeout => "timeout",
-            FlushReason::Drain => "drain",
-        }
-    }
-}
-
 /// A coalesced unit of work: same-key requests executed in one invocation.
 #[derive(Debug)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// The shared coalescing key.
-    pub key: BatchKey,
+    pub(crate) key: BatchKey,
     /// Members, in admission order within the key.
-    pub requests: Vec<Request>,
+    pub(crate) requests: Vec<Request>,
     /// Why this batch flushed.
-    pub flush: FlushReason,
+    pub(crate) flush: FlushReason,
 }
 
 struct PendingGroup {
     key: BatchKey,
-    // Each member keeps its own arrival instant. The linger deadline is
+    // Each member keeps its own arrival time (ns). The linger deadline is
     // always anchored to the *oldest member still present* — never to a
     // group-open timestamp that can outlive (or predate) its members.
     // With a single `opened_at`, removing the oldest member (hedge
@@ -53,12 +42,12 @@ struct PendingGroup {
     // the group, flushing the survivors early; and any scheme that
     // re-anchors on arrival would let a continuous same-key trickle
     // starve the flush forever.
-    entries: Vec<(Request, Instant)>,
+    entries: Vec<(Request, u64)>,
 }
 
 impl PendingGroup {
-    /// Arrival instant of the oldest member still in the group.
-    fn oldest(&self) -> Instant {
+    /// Arrival time of the oldest member still in the group.
+    fn oldest(&self) -> u64 {
         self.entries.first().expect("groups are never empty").1
     }
 
@@ -71,38 +60,26 @@ impl PendingGroup {
     }
 }
 
-/// Batching policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct BatcherConfig {
-    /// Flush a group as soon as it holds this many requests.
-    pub max_batch: usize,
-    /// Flush a group once its oldest member has waited this long.
-    pub linger: Duration,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig { max_batch: 8, linger: Duration::from_millis(2) }
-    }
-}
-
 /// The coalescing state machine. Groups are kept in open order (a `Vec`,
 /// not a hash map) so drain output is deterministic.
-pub struct Batcher {
-    cfg: BatcherConfig,
+pub(crate) struct Batcher {
+    max_batch: usize,
+    linger_ns: u64,
     pending: Vec<PendingGroup>,
 }
 
 impl Batcher {
-    /// A batcher with the given policy.
-    pub fn new(cfg: BatcherConfig) -> Self {
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        Batcher { cfg, pending: Vec::new() }
+    /// A batcher that flushes a group once it holds `max_batch` requests,
+    /// or once its oldest member has waited `linger`.
+    pub(crate) fn new(max_batch: usize, linger: Duration) -> Self {
+        assert!(max_batch >= 1, "max_batch must be at least 1");
+        let linger_ns = u64::try_from(linger.as_nanos()).unwrap_or(u64::MAX);
+        Batcher { max_batch, linger_ns, pending: Vec::new() }
     }
 
-    /// Admits one request at time `now`; returns a batch if the request's
-    /// group just hit the size threshold.
-    pub fn offer(&mut self, req: Request, now: Instant) -> Option<Batch> {
+    /// Admits one request at time `now_ns`; returns a batch if the
+    /// request's group just hit the size threshold.
+    pub(crate) fn offer(&mut self, req: Request, now_ns: u64) -> Option<Batch> {
         let key = req.job.key();
         let group = match self.pending.iter_mut().find(|g| g.key == key) {
             Some(g) => g,
@@ -111,28 +88,26 @@ impl Batcher {
                 self.pending.last_mut().expect("just pushed")
             }
         };
-        group.entries.push((req, now));
-        if group.entries.len() >= self.cfg.max_batch {
+        group.entries.push((req, now_ns));
+        if group.entries.len() >= self.max_batch {
             return self.take_key(&key, FlushReason::Size);
         }
         None
     }
 
-    /// The instant at which the oldest pending group must flush, if any.
+    /// The time at which the oldest pending group must flush, if any.
     /// Anchored to each group's oldest surviving member, so a trickle of
     /// later same-key arrivals can never push the deadline out.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|g| g.oldest() + self.cfg.linger).min()
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
+        self.pending.iter().map(|g| g.oldest().saturating_add(self.linger_ns)).min()
     }
 
     /// Flushes every group whose oldest member lingered past the timeout
-    /// at `now`, oldest first.
-    pub fn expire(&mut self, now: Instant) -> Vec<Batch> {
+    /// at `now_ns`, oldest first.
+    pub(crate) fn expire(&mut self, now_ns: u64) -> Vec<Batch> {
         let mut out = Vec::new();
-        while let Some(pos) = self
-            .pending
-            .iter()
-            .position(|g| now.duration_since(g.oldest()) >= self.cfg.linger)
+        while let Some(pos) =
+            self.pending.iter().position(|g| now_ns.saturating_sub(g.oldest()) >= self.linger_ns)
         {
             let g = self.pending.remove(pos);
             out.push(g.into_batch(FlushReason::Timeout));
@@ -141,12 +116,12 @@ impl Batcher {
     }
 
     /// Flushes everything pending (shutdown), in group-open order.
-    pub fn drain(&mut self) -> Vec<Batch> {
+    pub(crate) fn drain(&mut self) -> Vec<Batch> {
         self.pending.drain(..).map(|g| g.into_batch(FlushReason::Drain)).collect()
     }
 
     /// Whether any request is waiting in the batcher.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -155,7 +130,7 @@ impl Batcher {
     /// linger deadline dies with it; removing the oldest member re-anchors
     /// the group's deadline to the next-oldest survivor. The hedging layer
     /// uses this to pull a losing hedge copy that has not flushed yet.
-    pub fn remove(&mut self, id: u64, chunk: ChunkSpan) -> Option<Request> {
+    pub(crate) fn remove(&mut self, id: u64, chunk: ChunkSpan) -> Option<Request> {
         let (gi, ri) = self.pending.iter().enumerate().find_map(|(gi, g)| {
             g.entries
                 .iter()
@@ -181,10 +156,11 @@ mod tests {
     use super::*;
     use crate::request::{RenderJob, RenderPrecision, SceneKind, Workload};
 
-    fn req(id: u64, scene: SceneKind, at: Instant) -> Request {
+    const MS: u64 = 1_000_000;
+
+    fn req(id: u64, scene: SceneKind) -> Request {
         Request {
             id,
-            submitted_at: at,
             priority: crate::sched::Priority::Standard,
             arrival_ns: 0,
             deadline_ns: None,
@@ -202,11 +178,11 @@ mod tests {
 
     #[test]
     fn size_threshold_flushes_exactly_at_max_batch() {
-        let t0 = Instant::now();
-        let mut b = Batcher::new(BatcherConfig { max_batch: 3, linger: Duration::from_secs(60) });
-        assert!(b.offer(req(0, SceneKind::Mic, t0), t0).is_none());
-        assert!(b.offer(req(1, SceneKind::Mic, t0), t0).is_none());
-        let batch = b.offer(req(2, SceneKind::Mic, t0), t0).expect("third member flushes");
+        let t0 = 5 * MS;
+        let mut b = Batcher::new(3, Duration::from_secs(60));
+        assert!(b.offer(req(0, SceneKind::Mic), t0).is_none());
+        assert!(b.offer(req(1, SceneKind::Mic), t0).is_none());
+        let batch = b.offer(req(2, SceneKind::Mic), t0).expect("third member flushes");
         assert_eq!(batch.flush, FlushReason::Size);
         assert_eq!(batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(b.is_empty(), "flushed group leaves the batcher");
@@ -214,12 +190,12 @@ mod tests {
 
     #[test]
     fn linger_timeout_flushes_undersized_groups() {
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(5);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
+        let t0 = 5 * MS;
+        let linger = 5 * MS;
+        let mut b = Batcher::new(100, Duration::from_nanos(linger));
+        b.offer(req(0, SceneKind::Mic), t0);
         assert_eq!(b.next_deadline(), Some(t0 + linger));
-        assert!(b.expire(t0 + Duration::from_millis(1)).is_empty(), "not yet");
+        assert!(b.expire(t0 + MS).is_empty(), "not yet");
         let flushed = b.expire(t0 + linger);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].flush, FlushReason::Timeout);
@@ -229,11 +205,11 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let t0 = Instant::now();
-        let mut b = Batcher::new(BatcherConfig { max_batch: 2, linger: Duration::from_secs(1) });
-        assert!(b.offer(req(0, SceneKind::Mic, t0), t0).is_none());
-        assert!(b.offer(req(1, SceneKind::Lego, t0), t0).is_none(), "different scene, new group");
-        let batch = b.offer(req(2, SceneKind::Mic, t0), t0).expect("mic group full");
+        let t0 = 5 * MS;
+        let mut b = Batcher::new(2, Duration::from_secs(1));
+        assert!(b.offer(req(0, SceneKind::Mic), t0).is_none());
+        assert!(b.offer(req(1, SceneKind::Lego), t0).is_none(), "different scene, new group");
+        let batch = b.offer(req(2, SceneKind::Mic), t0).expect("mic group full");
         assert_eq!(batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2]);
         let rest = b.drain();
         assert_eq!(rest.len(), 1);
@@ -243,11 +219,11 @@ mod tests {
 
     #[test]
     fn remove_cancels_a_pending_member_and_empties_its_group() {
-        let t0 = Instant::now();
-        let mut b = Batcher::new(BatcherConfig { max_batch: 10, linger: Duration::from_secs(1) });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
-        b.offer(req(1, SceneKind::Mic, t0), t0);
-        b.offer(req(2, SceneKind::Lego, t0), t0);
+        let t0 = 5 * MS;
+        let mut b = Batcher::new(10, Duration::from_secs(1));
+        b.offer(req(0, SceneKind::Mic), t0);
+        b.offer(req(1, SceneKind::Mic), t0);
+        b.offer(req(2, SceneKind::Lego), t0);
         assert_eq!(b.remove(1, ChunkSpan::WHOLE).map(|r| r.id), Some(1));
         assert!(b.remove(1, ChunkSpan::WHOLE).is_none(), "already gone");
         assert_eq!(
@@ -266,19 +242,19 @@ mod tests {
         // out: the deadline is anchored to the oldest member's arrival, so
         // the group flushes exactly at t0 + linger no matter how many
         // younger members keep trickling in.
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(4);
-        let step = Duration::from_millis(2);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
+        let t0 = 5 * MS;
+        let linger = 4 * MS;
+        let step = 2 * MS;
+        let mut b = Batcher::new(100, Duration::from_nanos(linger));
         let mut flushed = Vec::new();
         for i in 0..6u64 {
-            let at = t0 + step * i as u32;
+            let at = t0 + step * i;
             if at < t0 + linger {
                 assert!(b.expire(at).is_empty(), "no flush strictly before t0 + linger");
             } else {
                 flushed.extend(b.expire(at));
             }
-            assert!(b.offer(req(i, SceneKind::Mic, at), at).is_none());
+            assert!(b.offer(req(i, SceneKind::Mic), at).is_none());
             let deadline = b.next_deadline().expect("group pending");
             assert!(
                 deadline <= at + linger,
@@ -299,12 +275,12 @@ mod tests {
 
     #[test]
     fn removing_the_oldest_member_reanchors_the_deadline() {
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(10);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
-        let t1 = t0 + Duration::from_millis(6);
-        b.offer(req(1, SceneKind::Mic, t1), t1);
+        let t0 = 5 * MS;
+        let linger = 10 * MS;
+        let mut b = Batcher::new(100, Duration::from_nanos(linger));
+        b.offer(req(0, SceneKind::Mic), t0);
+        let t1 = t0 + 6 * MS;
+        b.offer(req(1, SceneKind::Mic), t1);
         assert_eq!(b.next_deadline(), Some(t0 + linger), "anchored to the oldest member");
         b.remove(0, ChunkSpan::WHOLE);
         assert_eq!(
@@ -323,11 +299,11 @@ mod tests {
 
     #[test]
     fn drain_preserves_group_open_order() {
-        let t0 = Instant::now();
-        let mut b = Batcher::new(BatcherConfig { max_batch: 10, linger: Duration::from_secs(1) });
-        b.offer(req(0, SceneKind::Palace, t0), t0);
-        b.offer(req(1, SceneKind::Mic, t0), t0);
-        b.offer(req(2, SceneKind::Palace, t0), t0);
+        let t0 = 5 * MS;
+        let mut b = Batcher::new(10, Duration::from_secs(1));
+        b.offer(req(0, SceneKind::Palace), t0);
+        b.offer(req(1, SceneKind::Mic), t0);
+        b.offer(req(2, SceneKind::Palace), t0);
         let drained = b.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2]);

@@ -24,7 +24,6 @@
 //! reproduces `run_virtual` exactly (pinned in `tests/serve_equivalence.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +31,7 @@ use rand::{Rng, SeedableRng};
 use crate::fault::FaultInjector;
 use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig};
 use crate::metrics::{
-    ClusterMetrics, FailMetric, FrontDoorTotals, LaneAccounting, ReplicaStats, RobustTotals,
-    ServeMetrics, ShedMetric,
+    ClusterMetrics, FrontDoorTotals, Ledger, ReplicaStats, RobustTotals, ServeMetrics, Terminal,
 };
 use crate::request::{
     assemble_chunks, effective_chunks, response_set_digest, synthetic_chunk_payload, ChunkResponse,
@@ -41,7 +39,7 @@ use crate::request::{
 };
 use crate::router::{HashRing, RouterConfig};
 use crate::server::{execute_batch, ServerConfig};
-use crate::vclock::{PipeEvent, VirtualPipeline};
+use crate::vclock::{arrival, PipeEvent, VirtualPipeline};
 use crate::workload::TimedJob;
 
 /// Virtual service model for the cluster simulator.
@@ -409,9 +407,6 @@ struct Tracked {
 /// The mutable cluster state the event loop advances.
 struct ClusterState<'c> {
     cfg: &'c ClusterConfig,
-    /// Real-clock origin requests' `submitted_at` instants are rendered
-    /// onto; never a measurement.
-    epoch: Instant,
     ring: HashRing,
     pipes: Vec<VirtualPipeline>,
     life: Vec<Life>,
@@ -454,7 +449,7 @@ struct ClusterState<'c> {
 
 /// Builds one replica pipeline for `cfg` (cold cache, nominal speed).
 fn new_pipe(cfg: &ClusterConfig, track: bool) -> VirtualPipeline {
-    let mut pipe = VirtualPipeline::with_injector(
+    let mut pipe = VirtualPipeline::new(
         &cfg.server,
         cfg.service.service_ns,
         cfg.service.cold_start_ns,
@@ -560,21 +555,17 @@ impl<'c> ClusterState<'c> {
         }
     }
 
-    /// The last live copy of a tracked chunk shed or failed on replica
-    /// `r`: commit the terminal record there. While another copy is
-    /// live, a copy's loss records nothing — the survivor owns the
-    /// chunk.
-    fn settle_loss(&mut self, r: usize, key: (u64, u32), lane: usize, queue_ns: u64, failed: bool) {
+    /// A copy of a tracked chunk shed or failed on replica `r`: if it
+    /// was the last live copy, commit its terminal record there. While
+    /// another copy is live, a copy's loss records nothing — the survivor
+    /// owns the chunk.
+    fn settle_loss(&mut self, r: usize, key: (u64, u32), terminal: Terminal) {
         let Some(tr) = self.tracked.get_mut(&key) else { return };
         tr.copies.retain(|&c| c != r);
         if !tr.copies.is_empty() {
             return;
         }
-        if failed {
-            self.pipes[r].fail_metrics.push(FailMetric { id: key.0, lane, queue_ns });
-        } else {
-            self.pipes[r].shed_metrics.push(ShedMetric { id: key.0, lane, queue_ns });
-        }
+        self.pipes[r].ledger.record(terminal);
         self.settle_terminal(key);
     }
 
@@ -615,11 +606,8 @@ impl<'c> ClusterState<'c> {
                         }
                     }
                 }
-                PipeEvent::Shed { id, chunk, lane, queue_ns } => {
-                    self.settle_loss(r, (id, chunk), lane, queue_ns, false)
-                }
-                PipeEvent::Failed { id, chunk, lane, queue_ns } => {
-                    self.settle_loss(r, (id, chunk), lane, queue_ns, true)
+                PipeEvent::Lost { id, chunk, terminal } => {
+                    self.settle_loss(r, (id, chunk), terminal)
                 }
             }
         }
@@ -882,7 +870,6 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let hedging = cfg.hedge.enabled();
     let track = hedging || cfg.health.enabled || cfg.admission.enabled;
     let mut state = ClusterState {
-        epoch: Instant::now(),
         ring: HashRing::new(replicas, &cfg.router),
         pipes: (0..replicas).map(|_| new_pipe(cfg, track)).collect(),
         life: vec![Life::Up; replicas],
@@ -940,36 +927,25 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                 }
                 state.routed[r] += 1;
                 for index in 0..of {
-                    let chunk = ChunkSpan { index, of };
-                    if hedging {
-                        let rid = id as u64;
-                        let req = Request {
-                            id: rid,
-                            submitted_at: state.epoch + Duration::from_nanos(at),
-                            priority: tj.priority,
-                            arrival_ns: at,
-                            deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
-                            chunk,
-                            job: tj.job.clone(),
-                        };
-                        if state.pipes[r].admit_request(req.clone(), at) {
-                            state.pipes[r].mark_hedged(rid, index);
-                            state.tracked.insert(
-                                (rid, index),
-                                Tracked {
-                                    req,
-                                    copies: vec![r],
-                                    started: false,
-                                    hedged: false,
-                                    clone_replica: None,
-                                },
-                            );
-                            state
-                                .hedge_timers
-                                .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
-                        }
-                    } else {
-                        state.pipes[r].admit(id as u64, at, tj, chunk);
+                    let rid = id as u64;
+                    let req = arrival(rid, at, tj, ChunkSpan { index, of });
+                    if !hedging {
+                        state.pipes[r].admit_request(req, at);
+                    } else if state.pipes[r].admit_request(req.clone(), at) {
+                        state.pipes[r].mark_hedged(rid, index);
+                        state.tracked.insert(
+                            (rid, index),
+                            Tracked {
+                                req,
+                                copies: vec![r],
+                                started: false,
+                                hedged: false,
+                                clone_replica: None,
+                            },
+                        );
+                        state
+                            .hedge_timers
+                            .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
                     }
                 }
                 state.pipes[r].pump(at);
@@ -1018,26 +994,12 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         // served (identical to the response set at chunk count 1).
         let responses: Vec<Response> =
             chunks.iter().map(|c| Response { id: c.id, bytes: c.bytes.clone() }).collect();
-        let lane_acct: Vec<LaneAccounting> = cfg
-            .server
-            .sched
-            .lanes
-            .iter()
-            .zip(&pipe.rejected)
-            .map(|(l, &rej)| LaneAccounting { name: l.name.clone(), weight: l.weight, rejected: rej })
-            .collect();
         let metrics = ServeMetrics::aggregate(
-            &pipe.request_metrics,
-            &pipe.batch_metrics,
-            &pipe.shed_metrics,
-            &pipe.fail_metrics,
-            &[],
+            &pipe.ledger,
             &responses,
-            &lane_acct,
             RobustTotals::default(),
             pipe.wall_ns,
             workers,
-            threads,
         );
         let (cache_hits, cache_misses) = pipe.cache_stats();
         replica_stats.push(ReplicaStats {
@@ -1084,16 +1046,10 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         threads,
         digest,
     );
-    assert!(
-        metrics.conserves_submitted(),
-        "chunk conservation violated: served {} + shed {} + rejected {} + failed {} + front door {} != submitted chunks {} ({} jobs)",
-        metrics.served,
-        metrics.shed,
-        metrics.rejected,
-        metrics.failed,
-        metrics.front_door_shed,
-        metrics.submitted_chunks,
-        metrics.submitted
+    Ledger::assert_conserved(
+        state.pipes.iter().map(|p| &p.ledger),
+        state.front_door_shed,
+        submitted_chunks,
     );
     assert!(
         metrics.hedged == metrics.hedge_won + metrics.hedge_wasted,

@@ -8,12 +8,11 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::FaultInjector;
-use crate::metrics::{LaneAccounting, RobustTotals, ServeMetrics};
+use crate::metrics::{Ledger, RobustTotals, ServeMetrics};
 use crate::request::{assemble_chunks, effective_chunks, ChunkResponse, ChunkSpan, Response};
 use crate::server::{execute_batch, run, ServeReport, ServerConfig, WaitOutcome};
-use crate::vclock::VirtualPipeline;
-use crate::workload::TimedJob;
+use crate::vclock::{arrival, VirtualPipeline};
+use crate::workload::{total_chunks, TimedJob};
 
 /// How long a closed-loop client "thinks" between receiving a response and
 /// submitting its next request. `None` reproduces the pure soak shape
@@ -152,12 +151,13 @@ impl Default for VirtualService {
     }
 }
 
-/// Replays `jobs` through the scheduling layer under a **virtual clock**:
+/// Replays `jobs` through the serving core under a **virtual clock**:
 /// arrivals advance time by their scheduled gaps, batches occupy virtual
 /// workers for `service.service_ns`, and every scheduling decision —
 /// lane order, per-key fairness, linger flushes, deadline shedding,
-/// admission rejects — is made single-threaded in trace order against
-/// that clock. The decided batches are then rendered for real (fanning
+/// brownout downgrades, admission rejects — is made single-threaded in
+/// trace order against that clock, by the same dispatch core the threaded
+/// server runs. The decided batches are then rendered for real (fanning
 /// out over `fnr_par`), so payload bytes are the production ones.
 ///
 /// This is the deterministic scheduling harness: for a fixed schedule the
@@ -167,30 +167,26 @@ impl Default for VirtualService {
 /// only accelerates the rendering of already-decided batches. The serve
 /// equivalence suite and CI's mixed-priority leg diff exactly that.
 ///
-/// The virtual pipeline mirrors the threaded one: per-lane bounded
+/// The virtual pipeline has the threaded one's shape: per-lane bounded
 /// admission (a full lane *rejects* — an open-loop virtual submitter
 /// cannot park), a batch queue of `2 × workers` slots that blocks the
 /// scheduler when full (which is where queueing — and therefore deadline
-/// shedding — comes from under saturation), and the same
-/// size/linger/drain batcher.
+/// shedding — comes from under saturation), and the same batcher.
+///
+/// `cfg.injector` adds seeded chaos: poisoned requests fail at the
+/// instant a virtual worker would take their batch (the virtual analogue
+/// of the live supervisor's quarantine verdict), delayed batches stretch
+/// their virtual service time. The injector takes the same seeds as the
+/// live server's, so the poisoned-request *set* is identical in both
+/// modes.
+///
+/// # Panics
+///
+/// Panics on a malformed `SchedConfig`, or — naming every term — if the
+/// run does not account for each submitted chunk unit exactly once.
 pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualService) -> ServeReport {
-    run_virtual_with_faults(cfg, jobs, service, None)
-}
-
-/// [`run_virtual`] plus a seeded chaos injector: poisoned requests fail
-/// at the instant a virtual worker would take their batch (the virtual
-/// analogue of the live supervisor's quarantine verdict), delayed batches
-/// stretch their virtual service time. The injector takes the same seeds
-/// as the live server's, so the poisoned-request *set* is identical in
-/// both modes — CI's chaos legs diff exactly that.
-pub fn run_virtual_with_faults(
-    cfg: &ServerConfig,
-    jobs: &[TimedJob],
-    service: VirtualService,
-    injector: Option<FaultInjector>,
-) -> ServeReport {
     cfg.sched.validate();
-    let mut pipe = VirtualPipeline::with_injector(cfg, service.service_ns, 0, false, injector);
+    let mut pipe = VirtualPipeline::new(cfg, service.service_ns, 0, false, cfg.injector);
     pipe.set_per_item_ns(service.per_item_ns);
     let mut now = 0u64;
     for (id, tj) in jobs.iter().enumerate() {
@@ -198,11 +194,12 @@ pub fn run_virtual_with_faults(
         pipe.advance_to(&mut now, at);
         let of = effective_chunks(cfg.chunks, &tj.job);
         for index in 0..of {
-            pipe.admit(id as u64, at, tj, ChunkSpan { index, of });
+            pipe.admit_request(arrival(id as u64, at, tj, ChunkSpan { index, of }), at);
         }
         pipe.pump(at);
     }
     pipe.drain(&mut now);
+    Ledger::assert_conserved([&pipe.ledger], 0, total_chunks(jobs, cfg.chunks));
 
     // Decisions are locked in; now render them for real. The fan-out is
     // pure per-batch work, so `FNR_THREADS` moves wall time only. Chunks
@@ -212,26 +209,12 @@ pub fn run_virtual_with_faults(
     let nested: Vec<Vec<ChunkResponse>> =
         fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.tables));
     let responses: Vec<Response> = assemble_chunks(nested.into_iter().flatten().collect());
-
-    let lane_acct: Vec<LaneAccounting> = cfg
-        .sched
-        .lanes
-        .iter()
-        .zip(&pipe.rejected)
-        .map(|(l, &r)| LaneAccounting { name: l.name.clone(), weight: l.weight, rejected: r })
-        .collect();
     let metrics = ServeMetrics::aggregate(
-        &pipe.request_metrics,
-        &pipe.batch_metrics,
-        &pipe.shed_metrics,
-        &pipe.fail_metrics,
-        &[],
+        &pipe.ledger,
         &responses,
-        &lane_acct,
         RobustTotals::default(),
         pipe.wall_ns,
         cfg.workers.max(1),
-        fnr_par::current_num_threads(),
     );
     ServeReport { responses, metrics }
 }

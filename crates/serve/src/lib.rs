@@ -4,20 +4,32 @@
 //! The ROADMAP's north star is serving heavy render traffic; this crate is
 //! the request-level runtime above the data-parallel substrate:
 //!
-//! * bounded per-class admission lanes ([`fnr_par::mpmc::Lanes`]) with
-//!   backpressure and a zero-capacity hard-reject posture, drained by a
-//!   clock-injected weighted-deficit scheduler ([`sched`]) with per-key
-//!   fairness and deadline shedding,
-//! * a [`Batcher`] that coalesces compatible requests — same
-//!   scene/model/precision — into one batched render or one shared table
-//!   regeneration (the per-batch format/precision amortization is exactly
-//!   where the paper's adaptive datapath pays off per request),
+//! * bounded per-class admission lanes with backpressure and a
+//!   zero-capacity hard-reject posture,
+//! * **one clock-injected dispatch core** that every mode runs: the
+//!   weighted-deficit scheduler ([`sched`]) with per-key fairness and
+//!   deadline shedding, the precision [`Brownout`], and a batcher that
+//!   coalesces compatible requests — same scene/model/precision — into one
+//!   batched render or one shared table regeneration (the per-batch
+//!   format/precision amortization is exactly where the paper's adaptive
+//!   datapath pays off per request). It takes `u64` nanoseconds on its
+//!   caller's clock and does no threading itself: the live [`Server`]
+//!   drives it from a scheduler thread over [`fnr_par::mpmc::Lanes`] and
+//!   the server epoch, while [`run_virtual`] and [`run_cluster`] drive it
+//!   from a discrete-event loop on a virtual clock,
+//! * **one outcome ledger** per pipeline: every reject, shed, downgrade,
+//!   failure and served chunk is recorded there, by the live workers, the
+//!   virtual pipelines and the cluster hedge arbiter alike, and
+//!   [`ServeMetrics`] is a fold over it — so every mode counts the same
+//!   way, and the virtual and cluster runs check chunk conservation
+//!   against it,
 //! * a supervised worker pool ([`supervise`]) driving `fnr_nerf`'s
 //!   batched render entry points and registered `fnr_bench` table
 //!   generators — panicking batches are bisected to isolate poisoned
 //!   requests, crashed workers respawn within a bounded budget, and the
-//!   [`fault`] module adds retries, a per-key circuit breaker, precision
-//!   brownout under overload, and seeded chaos injection,
+//!   [`fault`] module adds retries, a per-key circuit breaker and seeded
+//!   chaos injection (retry, breaker and bisection act on real panics, so
+//!   they are live-only),
 //! * per-request / per-batch metrics ([`ServeMetrics`], queue latency,
 //!   service time, first-chunk latency, batch occupancy, failure/degrade
 //!   counters) with a JSON report in the `flexnerfer-serve-bench/4`
@@ -28,9 +40,9 @@
 //! A render request is split at admission into a fixed row-band partition
 //! of [`effective_chunks`] sub-jobs ([`ChunkSpan`]), each flowing through
 //! lanes, scheduler, batcher, and workers independently; chunk payloads
-//! ([`chunk_image_bytes`]) concatenate in row order to exactly the
-//! unchunked image bytes, so the whole-render digest is invariant in the
-//! chunk count. `chunks = 1` is byte-for-byte the old one-shot path.
+//! concatenate in row order to exactly the unchunked image bytes, so the
+//! whole-render digest is invariant in the chunk count. `chunks = 1` is
+//! byte-for-byte the old one-shot path.
 //!
 //! # Determinism
 //!
@@ -65,6 +77,7 @@
 
 mod batch;
 pub mod cluster;
+mod dispatch;
 mod driver;
 pub mod fault;
 pub mod health;
@@ -77,37 +90,24 @@ pub mod supervise;
 mod vclock;
 pub mod workload;
 
-pub use batch::{Batch, Batcher, BatcherConfig, FlushReason};
 pub use cluster::{
-    run_cluster, ClusterConfig, ClusterReport, ClusterService, FaultEvent, FaultKind, FaultPlan,
-    PayloadMode,
+    run_cluster, ClusterConfig, ClusterReport, ClusterService, FaultPlan, PayloadMode,
 };
 pub use driver::{
-    run_closed_loop, run_closed_loop_thinking, run_open_loop, run_virtual,
-    run_virtual_with_faults, ThinkTime, VirtualService,
+    run_closed_loop, run_closed_loop_thinking, run_open_loop, run_virtual, ThinkTime,
+    VirtualService,
 };
-pub use fault::{
-    degrade_precision, BreakerConfig, BreakerState, Brownout, BrownoutConfig, CircuitBreaker,
-    FaultInjector, InjectedFault, RetryPolicy,
-};
-pub use health::{
-    AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig,
-};
-pub use metrics::{
-    BatchMetric, ClusterMetrics, DegradeMetric, FailMetric, FrontDoorTotals, LaneAccounting,
-    LaneStats, LatencyHistogram, NsStats, ReplicaStats, RequestMetric, RobustTotals, ServeMetrics,
-    ShedMetric, LATENCY_BUCKETS, LATENCY_EDGES_NS,
-};
+pub use fault::{BreakerConfig, Brownout, BrownoutConfig, FaultInjector, RetryPolicy};
+pub use health::{AdmissionConfig, HealthConfig, HealthDetector, HealthState, HedgeConfig};
+pub use metrics::{ClusterMetrics, LaneStats, LatencyHistogram, NsStats, ReplicaStats, ServeMetrics};
 pub use request::{
-    assemble_chunks, chunk_image_bytes, effective_chunks, fnv1a, fnv1a_with, image_bytes,
-    job_hash, response_set_digest, row_band, synthetic_chunk_payload, synthetic_payload, BatchKey,
-    ChunkOutcome, ChunkResponse, ChunkSpan, RenderJob, RenderPrecision, Request, Response,
-    SceneKind, Workload,
+    effective_chunks, response_set_digest, synthetic_payload, BatchKey, ChunkOutcome, ChunkSpan,
+    RenderJob, RenderPrecision, Request, Response, SceneKind, Workload,
 };
 pub use router::{HashRing, RouterConfig, MAX_REPLICAS};
-pub use sched::{LaneConfig, LaneScheduler, Priority, SchedConfig, SchedStep};
+pub use sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 pub use server::{
-    quantized_cache_stats, run, Client, QuantCacheStats, ServeReport, Server, ServerConfig,
-    SubmitError, TableFn, TableRegistry, WaitOutcome,
+    run, Client, ServeReport, Server, ServerConfig, SubmitError, TableFn, TableRegistry,
+    WaitOutcome,
 };
-pub use supervise::{SuperviseConfig, MAX_RESPAWN_BACKOFF};
+pub use supervise::SuperviseConfig;

@@ -1,96 +1,171 @@
-//! Per-request / per-batch accounting and the aggregate serving report.
+//! The outcome ledger every serving mode records into, and the aggregate
+//! serving report folded from it.
 
 use std::collections::HashMap;
 
-use crate::batch::FlushReason;
-use crate::request::{BatchKey, Response};
+use crate::batch::{Batch, FlushReason};
+use crate::request::{BatchKey, Request, Response};
+use crate::sched::{Priority, SchedConfig};
 
-/// Timing record for one completed request chunk. Unchunked requests are
-/// a single chunk (`chunk` 0 of 1), so at chunk count 1 these records are
-/// exactly the pre-streaming per-request records.
-#[derive(Debug, Clone)]
-pub struct RequestMetric {
-    /// The parent request id.
-    pub id: u64,
-    /// Scheduler lane the chunk was served from.
-    pub lane: usize,
-    /// Submit → batch-execution-start latency.
-    pub queue_ns: u64,
-    /// Batch execution wall time (shared by every member of the batch).
-    pub service_ns: u64,
-    /// Members in the batch this chunk rode in.
-    pub batch_size: usize,
-    /// Zero-based index of this chunk within its parent request.
-    pub chunk: u32,
-    /// Total chunks the parent request was split into.
-    pub chunk_of: u32,
-    /// The chunk was answered, but only after its deadline had passed
-    /// (it started in time — else it would have been shed — but finished
-    /// late). Counted as `expired` in the per-lane stats.
-    pub deadline_missed: bool,
+/// How one chunk unit left a pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// Rendered and answered after `service_ns` of batch execution;
+    /// `late` if it finished at or past its deadline (it started in time,
+    /// else it would have been shed) — counted as `expired`.
+    Served { service_ns: u64, late: bool },
+    /// Dropped at dequeue: its deadline passed while it queued.
+    Shed,
+    /// Terminated as `Failed` (quarantine, open breaker, injected fault).
+    Failed,
 }
 
-/// Record for one request the scheduler shed at dequeue: its deadline
-/// passed while it queued, so it was dropped and counted, never rendered.
-#[derive(Debug, Clone)]
-pub struct ShedMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was shed from.
-    pub lane: usize,
-    /// Submit → shed-decision latency (time spent queued).
-    pub queue_ns: u64,
+/// One terminal record: which chunk unit ended how, and how long it
+/// queued first. Unchunked requests are a single chunk (`of == 1`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Terminal {
+    id: u64,
+    priority: Priority,
+    /// Chunks the parent request was split into.
+    of: u32,
+    /// Admission → execution start (served), or → the shed/fail decision.
+    queue_ns: u64,
+    outcome: Outcome,
 }
 
-/// Record for one request that terminated as `Failed`: it kept panicking
-/// under quarantine (or its key's circuit breaker was open), so the
-/// supervisor failed it instead of answering or hanging it.
-#[derive(Debug, Clone)]
-pub struct FailMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was admitted to.
-    pub lane: usize,
-    /// Submit → final-failure latency.
-    pub queue_ns: u64,
+impl Terminal {
+    fn at(req: &Request, now_ns: u64, outcome: Outcome) -> Self {
+        Terminal {
+            id: req.id,
+            priority: req.priority,
+            of: req.chunk.of,
+            queue_ns: now_ns.saturating_sub(req.arrival_ns),
+            outcome,
+        }
+    }
+
+    /// `req` started service at `start_ns` in a batch that took
+    /// `service_ns`.
+    pub(crate) fn served(req: &Request, start_ns: u64, service_ns: u64) -> Self {
+        let late = req.deadline_ns.is_some_and(|d| start_ns.saturating_add(service_ns) >= d);
+        Terminal::at(req, start_ns, Outcome::Served { service_ns, late })
+    }
+
+    /// `req` was shed at `now_ns`.
+    pub(crate) fn shed(req: &Request, now_ns: u64) -> Self {
+        Terminal::at(req, now_ns, Outcome::Shed)
+    }
+
+    /// `req` failed terminally at `now_ns`.
+    pub(crate) fn failed(req: &Request, now_ns: u64) -> Self {
+        Terminal::at(req, now_ns, Outcome::Failed)
+    }
 }
 
-/// Record for one request the brownout controller downgraded to a cheaper
-/// precision under overload (it was still served — with the downgraded
-/// payload — and is also counted in its lane's `served`).
+/// Record for one executed batch.
 #[derive(Debug, Clone)]
-pub struct DegradeMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was served from.
-    pub lane: usize,
+struct BatchMetric {
+    key: BatchKey,
+    size: usize,
+    service_ns: u64,
+    flush: FlushReason,
+}
+
+/// Everything one serving pipeline decided about its traffic, in chunk
+/// units: per-lane admission rejects and brownout downgrades, one
+/// [`Terminal`] per served, shed or failed chunk, and one record per
+/// executed batch. The live server, the virtual pipeline and the cluster
+/// hedge arbiter all record here, and [`ServeMetrics::aggregate`] folds
+/// it — so every mode counts the same way.
+#[derive(Debug, Clone)]
+pub(crate) struct Ledger {
+    sched: SchedConfig,
+    rejected: Vec<usize>,
+    degraded: Vec<usize>,
+    terminals: Vec<Terminal>,
+    batches: Vec<BatchMetric>,
+}
+
+impl Ledger {
+    /// An empty ledger over `sched`'s lanes.
+    pub(crate) fn new(sched: &SchedConfig) -> Self {
+        let lanes = sched.lanes.len();
+        Ledger {
+            sched: sched.clone(),
+            rejected: vec![0; lanes],
+            degraded: vec![0; lanes],
+            terminals: Vec::new(),
+            batches: Vec::new(),
+        }
+    }
+
+    /// `units` chunk units of a `priority` request never entered their
+    /// lane (full or zero-capacity lane, or admission closed).
+    pub(crate) fn reject(&mut self, priority: Priority, units: usize) {
+        self.rejected[self.sched.lane_of(priority)] += units;
+    }
+
+    /// The brownout downgraded a request drained from `lane`.
+    pub(crate) fn degrade(&mut self, lane: usize) {
+        self.degraded[lane] += 1;
+    }
+
+    /// Records one chunk's terminal outcome.
+    pub(crate) fn record(&mut self, t: Terminal) {
+        self.terminals.push(t);
+    }
+
+    /// Records one executed batch (all its members, including any whose
+    /// completion is then suppressed).
+    pub(crate) fn batch(&mut self, batch: &Batch, service_ns: u64) {
+        self.batches.push(BatchMetric {
+            key: batch.key.clone(),
+            size: batch.requests.len(),
+            service_ns,
+            flush: batch.flush,
+        });
+    }
+
+    /// Panics, with the numbers, unless each of `submitted` chunk units
+    /// terminated exactly once: served, shed, rejected or failed in one
+    /// of `ledgers`, or among the `front_door` units a cluster router
+    /// dropped before any replica saw them.
+    pub(crate) fn assert_conserved<'a>(
+        ledgers: impl IntoIterator<Item = &'a Ledger>,
+        front_door: usize,
+        submitted: usize,
+    ) {
+        let (mut served, mut shed, mut rejected, mut failed) = (0, 0, 0, 0);
+        for l in ledgers {
+            rejected += l.rejected.iter().sum::<usize>();
+            for t in &l.terminals {
+                match t.outcome {
+                    Outcome::Served { .. } => served += 1,
+                    Outcome::Shed => shed += 1,
+                    Outcome::Failed => failed += 1,
+                }
+            }
+        }
+        assert!(
+            served + shed + rejected + failed + front_door == submitted,
+            "chunk conservation violated: served {served} + shed {shed} + rejected {rejected} \
+             + failed {failed} + front door {front_door} != submitted chunks {submitted}"
+        );
+    }
 }
 
 /// Robustness totals only the supervisor/breaker know — handed to
-/// [`ServeMetrics::aggregate`] alongside the per-request records.
+/// [`ServeMetrics::aggregate`] alongside the ledger.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RobustTotals {
+pub(crate) struct RobustTotals {
     /// Crashed workers the supervisor respawned.
-    pub worker_restarts: usize,
+    pub(crate) worker_restarts: usize,
     /// Re-execution attempts of quarantined requests (each retry counts).
-    pub retried: usize,
+    pub(crate) retried: usize,
     /// Times a per-key circuit breaker tripped open.
-    pub breaker_opened: usize,
+    pub(crate) breaker_opened: usize,
     /// Half-open probes the breaker admitted after cooldowns.
-    pub breaker_half_open_probes: usize,
-}
-
-/// Per-lane admission accounting the server hands to
-/// [`ServeMetrics::aggregate`] (the lane identity plus what never entered
-/// the queue).
-#[derive(Debug, Clone)]
-pub struct LaneAccounting {
-    /// Lane label.
-    pub name: String,
-    /// Drain weight.
-    pub weight: u64,
-    /// Requests rejected at admission (full or zero-capacity lane).
-    pub rejected: usize,
+    pub(crate) breaker_half_open_probes: usize,
 }
 
 /// Aggregated per-lane serving outcome: every admitted request of the lane
@@ -122,19 +197,6 @@ pub struct LaneStats {
     /// Queue-latency histogram over every admitted request (served, shed
     /// and failed alike — all experienced the queue).
     pub queue_hist: LatencyHistogram,
-}
-
-/// Record for one executed batch.
-#[derive(Debug, Clone)]
-pub struct BatchMetric {
-    /// The coalescing key.
-    pub key: BatchKey,
-    /// Members executed together.
-    pub size: usize,
-    /// Execution wall time.
-    pub service_ns: u64,
-    /// Why the batch flushed.
-    pub flush: FlushReason,
 }
 
 /// Simple summary statistics over a set of nanosecond samples.
@@ -197,14 +259,14 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Number of histogram buckets: one per edge plus the overflow bucket.
-pub const LATENCY_BUCKETS: usize = LATENCY_EDGES_NS.len() + 1;
+pub(crate) const LATENCY_BUCKETS: usize = LATENCY_EDGES_NS.len() + 1;
 
 /// Fixed upper edges (exclusive, ns) of the latency histogram: log-4
 /// spaced from 1 µs to ~16.8 s. Fixed — never derived from the data — so
 /// bucket counts from different runs, machines and CI legs are directly
 /// comparable, and a tail shift shows up as counts migrating to higher
 /// buckets.
-pub const LATENCY_EDGES_NS: [u64; 13] = [
+pub(crate) const LATENCY_EDGES_NS: [u64; 13] = [
     1_000,
     4_000,
     16_000,
@@ -220,9 +282,10 @@ pub const LATENCY_EDGES_NS: [u64; 13] = [
     16_777_216_000,
 ];
 
-/// Fixed-bucket latency histogram (see [`LATENCY_EDGES_NS`]). Bucket `i`
-/// counts samples in `[edge(i-1), edge(i))`; the last bucket counts
-/// everything at or above the final edge.
+/// Fixed-bucket latency histogram over 13 fixed log-4 edges from 1 µs to
+/// ~16.8 s (listed as `edges_ns` in every JSON record). Bucket `i` counts
+/// samples in `[edge(i-1), edge(i))`; the last bucket counts everything
+/// at or above the final edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: [u64; LATENCY_BUCKETS],
@@ -374,83 +437,61 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Builds the aggregate from raw per-request/per-batch/per-shed
-    /// records plus the lane identities (`lane_acct` order defines lane
-    /// indices).
-    #[allow(clippy::too_many_arguments)]
-    pub fn aggregate(
-        request_metrics: &[RequestMetric],
-        batch_metrics: &[BatchMetric],
-        shed_metrics: &[ShedMetric],
-        fail_metrics: &[FailMetric],
-        degrade_metrics: &[DegradeMetric],
+    /// Folds a pipeline's [`Ledger`] (lane order comes from its
+    /// `SchedConfig`) plus the response set, the supervisor's totals and
+    /// the run's clock into the report.
+    pub(crate) fn aggregate(
+        ledger: &Ledger,
         responses: &[Response],
-        lane_acct: &[LaneAccounting],
         robust: RobustTotals,
         wall_ns: u64,
         workers: usize,
-        threads: usize,
     ) -> Self {
-        let lanes: Vec<LaneStats> = lane_acct
+        let mut lanes: Vec<LaneStats> = ledger
+            .sched
+            .lanes
             .iter()
             .enumerate()
-            .map(|(li, acct)| {
-                let served: Vec<&RequestMetric> =
-                    request_metrics.iter().filter(|m| m.lane == li).collect();
-                let shed: Vec<&ShedMetric> = shed_metrics.iter().filter(|m| m.lane == li).collect();
-                let failed: Vec<&FailMetric> =
-                    fail_metrics.iter().filter(|m| m.lane == li).collect();
-                let mut queue_hist = LatencyHistogram::new();
-                for m in &served {
-                    queue_hist.record(m.queue_ns);
-                }
-                for m in &shed {
-                    queue_hist.record(m.queue_ns);
-                }
-                for m in &failed {
-                    queue_hist.record(m.queue_ns);
-                }
-                LaneStats {
-                    name: acct.name.clone(),
-                    weight: acct.weight,
-                    submitted: served.len() + shed.len() + failed.len(),
-                    served: served.len(),
-                    shed: shed.len(),
-                    expired: served.iter().filter(|m| m.deadline_missed).count(),
-                    rejected: acct.rejected,
-                    failed: failed.len(),
-                    degraded: degrade_metrics.iter().filter(|m| m.lane == li).count(),
-                    queue_hist,
-                }
+            .map(|(li, l)| LaneStats {
+                name: l.name.clone(),
+                weight: l.weight,
+                submitted: 0,
+                served: 0,
+                shed: 0,
+                expired: 0,
+                rejected: ledger.rejected[li],
+                failed: 0,
+                degraded: ledger.degraded[li],
+                queue_hist: LatencyHistogram::new(),
             })
             .collect();
-        let mut key_totals: HashMap<&BatchKey, usize> = HashMap::new();
-        for b in batch_metrics {
-            *key_totals.entry(&b.key).or_insert(0) += b.size;
-        }
-        let coalescable: Vec<&BatchMetric> =
-            batch_metrics.iter().filter(|b| key_totals[&b.key] > 1).collect();
-        let mean = |batches: &[&BatchMetric]| {
-            if batches.is_empty() {
-                0.0
-            } else {
-                batches.iter().map(|b| b.size).sum::<usize>() as f64 / batches.len() as f64
-            }
-        };
-        let all: Vec<&BatchMetric> = batch_metrics.iter().collect();
-        // Group chunk records by parent request: a parent every chunk of
+        // Group served chunks by parent request: a parent every chunk of
         // which was served is an answered request. Its *fastest* chunk
         // latency is the time-to-first-chunk (the stream had bytes), its
         // *slowest* is the full-render latency (the stream completed). At
-        // chunk count 1 both equal the single chunk's latency, so the
-        // histograms and stats reproduce their pre-streaming values.
+        // chunk count 1 both equal the single chunk's latency.
         let mut parents: HashMap<u64, (u32, u32, u64, u64)> = HashMap::new();
-        for m in request_metrics {
-            let lat = m.queue_ns + m.service_ns;
-            let e = parents.entry(m.id).or_insert((0, m.chunk_of, u64::MAX, 0));
-            e.0 += 1;
-            e.2 = e.2.min(lat);
-            e.3 = e.3.max(lat);
+        let mut queue_samples = Vec::new();
+        for t in &ledger.terminals {
+            // Served, shed and failed all passed through the queue: the
+            // lane histogram counts every admitted chunk.
+            let lane = &mut lanes[ledger.sched.lane_of(t.priority)];
+            lane.submitted += 1;
+            lane.queue_hist.record(t.queue_ns);
+            match t.outcome {
+                Outcome::Served { service_ns, late } => {
+                    lane.served += 1;
+                    lane.expired += usize::from(late);
+                    queue_samples.push(t.queue_ns);
+                    let lat = t.queue_ns + service_ns;
+                    let e = parents.entry(t.id).or_insert((0, t.of, u64::MAX, 0));
+                    e.0 += 1;
+                    e.2 = e.2.min(lat);
+                    e.3 = e.3.max(lat);
+                }
+                Outcome::Shed => lane.shed += 1,
+                Outcome::Failed => lane.failed += 1,
+            }
         }
         let mut first_samples = Vec::new();
         let mut full_samples = Vec::new();
@@ -460,30 +501,46 @@ impl ServeMetrics {
                 full_samples.push(max);
             }
         }
+        let batches = &ledger.batches;
+        let mut key_totals: HashMap<&BatchKey, usize> = HashMap::new();
+        for b in batches {
+            *key_totals.entry(&b.key).or_insert(0) += b.size;
+        }
+        let mean = |sizes: &mut dyn Iterator<Item = usize>| {
+            let (n, sum) = sizes.fold((0usize, 0usize), |(n, sum), s| (n + 1, sum + s));
+            if n == 0 {
+                0.0
+            } else {
+                sum as f64 / n as f64
+            }
+        };
+        let flushed = |f: FlushReason| batches.iter().filter(|b| b.flush == f).count();
         ServeMetrics {
             requests: full_samples.len(),
-            chunks_served: request_metrics.len(),
+            chunks_served: queue_samples.len(),
             rejected: lanes.iter().map(|l| l.rejected).sum(),
-            shed: shed_metrics.len(),
+            shed: lanes.iter().map(|l| l.shed).sum(),
             expired: lanes.iter().map(|l| l.expired).sum(),
-            failed: fail_metrics.len(),
-            degraded: degrade_metrics.len(),
+            failed: lanes.iter().map(|l| l.failed).sum(),
+            degraded: lanes.iter().map(|l| l.degraded).sum(),
             retried: robust.retried,
             worker_restarts: robust.worker_restarts,
             breaker_opened: robust.breaker_opened,
             breaker_half_open_probes: robust.breaker_half_open_probes,
             lanes,
-            batches: batch_metrics.len(),
-            mean_occupancy: mean(&all),
-            coalescable_occupancy: mean(&coalescable),
-            flushed_size: batch_metrics.iter().filter(|b| b.flush == FlushReason::Size).count(),
-            flushed_timeout: batch_metrics.iter().filter(|b| b.flush == FlushReason::Timeout).count(),
-            flushed_drain: batch_metrics.iter().filter(|b| b.flush == FlushReason::Drain).count(),
-            queue_ns: NsStats::from_samples(
-                &request_metrics.iter().map(|m| m.queue_ns).collect::<Vec<_>>(),
+            batches: batches.len(),
+            mean_occupancy: mean(&mut batches.iter().map(|b| b.size)),
+            // Only keys that received more than one request over the run
+            // can coalesce at all.
+            coalescable_occupancy: mean(
+                &mut batches.iter().filter(|b| key_totals[&b.key] > 1).map(|b| b.size),
             ),
+            flushed_size: flushed(FlushReason::Size),
+            flushed_timeout: flushed(FlushReason::Timeout),
+            flushed_drain: flushed(FlushReason::Drain),
+            queue_ns: NsStats::from_samples(&queue_samples),
             service_ns: NsStats::from_samples(
-                &batch_metrics.iter().map(|m| m.service_ns).collect::<Vec<_>>(),
+                &batches.iter().map(|b| b.service_ns).collect::<Vec<_>>(),
             ),
             first_chunk_ns: NsStats::from_samples(&first_samples),
             render_ns: NsStats::from_samples(&full_samples),
@@ -491,7 +548,7 @@ impl ServeMetrics {
             first_chunk_hist: LatencyHistogram::from_samples(&first_samples),
             wall_ns,
             workers,
-            threads,
+            threads: fnr_par::current_num_threads(),
             digest: crate::request::response_set_digest(responses),
         }
     }
@@ -623,26 +680,26 @@ pub struct ReplicaStats {
 /// control) knows — bundled so [`ClusterMetrics::aggregate`] stays
 /// readable as the layer grows.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FrontDoorTotals {
+pub(crate) struct FrontDoorTotals {
     /// Requests dropped at the front door for any reason (no routable
     /// replica, or overload admission). Includes `overload_shed`.
-    pub front_door_shed: usize,
+    pub(crate) front_door_shed: usize,
     /// The CoDel-admission subset of `front_door_shed`: Batch-class
     /// arrivals shed because the target replica was in its dropping
     /// state.
-    pub overload_shed: usize,
+    pub(crate) overload_shed: usize,
     /// Requests that got a hedge copy placed on a second replica.
-    pub hedged: usize,
+    pub(crate) hedged: usize,
     /// Hedged requests whose *hedge* copy completed first.
-    pub hedge_won: usize,
+    pub(crate) hedge_won: usize,
     /// Hedged requests where the hedge copy lost (primary won, or the
     /// request terminated non-served). `hedged == hedge_won +
     /// hedge_wasted` always.
-    pub hedge_wasted: usize,
+    pub(crate) hedge_wasted: usize,
     /// Replicas added by `join@T` scale-out events.
-    pub joins: usize,
+    pub(crate) joins: usize,
     /// Replicas drained by `leave@T:R` scale-in events.
-    pub leaves: usize,
+    pub(crate) leaves: usize,
 }
 
 /// Aggregate metrics for one cluster simulation run: cluster-wide totals
@@ -720,7 +777,7 @@ impl ClusterMetrics {
     /// Builds the cluster aggregate from per-replica stats plus the
     /// front-door counters only the router knows.
     #[allow(clippy::too_many_arguments)]
-    pub fn aggregate(
+    pub(crate) fn aggregate(
         replicas: Vec<ReplicaStats>,
         submitted: usize,
         submitted_chunks: usize,
@@ -880,29 +937,59 @@ impl ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::SceneKind;
+    use crate::request::{ChunkSpan, RenderJob, RenderPrecision, SceneKind, Workload};
+    use crate::sched::LaneConfig;
 
     fn bm(key: BatchKey, size: usize, flush: FlushReason) -> BatchMetric {
         BatchMetric { key, size, service_ns: 1000, flush }
     }
 
-    fn acct(n: usize) -> Vec<LaneAccounting> {
-        (0..n)
-            .map(|i| LaneAccounting { name: format!("lane{i}"), weight: 1, rejected: 0 })
-            .collect()
+    /// A ledger over `n` lanes named `lane{i}`; lane `i` takes the
+    /// `Priority::ALL[i]` class (the rest fold onto the last lane).
+    fn ledger_named(names: &[&str]) -> Ledger {
+        let n = names.len();
+        Ledger::new(&SchedConfig {
+            lanes: names
+                .iter()
+                .map(|name| LaneConfig { name: name.to_string(), weight: 1, capacity: None })
+                .collect(),
+            lane_by_class: [0, 1.min(n - 1), 2.min(n - 1)],
+        })
     }
 
-    fn rm(id: u64, lane: usize, queue_ns: u64, deadline_missed: bool) -> RequestMetric {
-        RequestMetric {
+    fn ledger(n: usize) -> Ledger {
+        let names: Vec<String> = (0..n).map(|i| format!("lane{i}")).collect();
+        ledger_named(&names.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    /// Chunk `index` of `of` of request `id`, admitted at t = 0 to `lane`.
+    fn req(id: u64, lane: usize, index: u32, of: u32, deadline_ns: Option<u64>) -> Request {
+        Request {
             id,
-            lane,
-            queue_ns,
-            service_ns: 50_000,
-            batch_size: 1,
-            chunk: 0,
-            chunk_of: 1,
-            deadline_missed,
+            priority: Priority::ALL[lane],
+            arrival_ns: 0,
+            deadline_ns,
+            chunk: ChunkSpan { index, of },
+            job: Workload::Render(RenderJob {
+                scene: SceneKind::Mic,
+                precision: RenderPrecision::Fp32,
+                width: 4,
+                height: 4,
+                spp: 2,
+                camera_seed: id,
+            }),
         }
+    }
+
+    /// A whole request served after `queue_ns` queued and 50 µs of
+    /// service; `late` sets a deadline it misses.
+    fn served(l: &mut Ledger, id: u64, lane: usize, queue_ns: u64, late: bool) {
+        let r = req(id, lane, 0, 1, late.then_some(queue_ns));
+        l.record(Terminal::served(&r, queue_ns, 50_000));
+    }
+
+    fn fold(l: &Ledger) -> ServeMetrics {
+        ServeMetrics::aggregate(l, &[], RobustTotals::default(), 0, 1)
     }
 
     #[test]
@@ -933,19 +1020,7 @@ mod tests {
     /// case) must not panic and must report zeros.
     #[test]
     fn aggregate_of_zero_served_run_is_all_zero() {
-        let m = ServeMetrics::aggregate(
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(2),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = fold(&ledger(2));
         assert_eq!(m.requests, 0);
         assert_eq!(m.queue_ns.max, 0);
         assert_eq!(m.service_ns.p95, 0);
@@ -957,24 +1032,13 @@ mod tests {
         let k1 = BatchKey::Render(SceneKind::Mic, crate::request::RenderPrecision::Fp32);
         let k2 = BatchKey::Table("lonely".into());
         // k1 got 4 requests over 2 batches (coalescable); k2 got exactly 1.
-        let batches = vec![
+        let mut l = ledger(1);
+        l.batches = vec![
             bm(k1.clone(), 3, FlushReason::Size),
             bm(k1.clone(), 1, FlushReason::Drain),
             bm(k2, 1, FlushReason::Timeout),
         ];
-        let m = ServeMetrics::aggregate(
-            &[],
-            &batches,
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = fold(&l);
         assert!((m.mean_occupancy - 5.0 / 3.0).abs() < 1e-9);
         assert!((m.coalescable_occupancy - 2.0).abs() < 1e-9, "k2 excluded: (3+1)/2");
         assert_eq!(m.flushed_size, 1);
@@ -984,30 +1048,19 @@ mod tests {
 
     #[test]
     fn json_contains_schema_lanes_and_digest() {
-        let mut lanes = acct(2);
-        lanes[0].rejected = 2;
-        let sheds = vec![ShedMetric { id: 9, lane: 1, queue_ns: 5_000 }];
-        let fails = vec![FailMetric { id: 10, lane: 0, queue_ns: 7_000 }];
-        let degrades = vec![DegradeMetric { id: 0, lane: 0 }];
+        let mut l = ledger(2);
+        l.reject(Priority::Interactive, 2);
+        served(&mut l, 0, 0, 100, true);
+        l.record(Terminal::shed(&req(9, 1, 0, 1, None), 5_000));
+        l.record(Terminal::failed(&req(10, 0, 0, 1, None), 7_000));
+        l.degrade(0);
         let robust = RobustTotals {
             worker_restarts: 1,
             retried: 2,
             breaker_opened: 1,
             breaker_half_open_probes: 1,
         };
-        let m = ServeMetrics::aggregate(
-            &[rm(0, 0, 100, true)],
-            &[],
-            &sheds,
-            &fails,
-            &degrades,
-            &[],
-            &lanes,
-            robust,
-            42,
-            3,
-            4,
-        );
+        let m = ServeMetrics::aggregate(&l, &[], robust, 42, 3);
         let j = m.to_json();
         // The schema bump: /4 carries the streaming fields alongside
         // everything /3 had (robustness counters, lanes array, totals).
@@ -1038,21 +1091,7 @@ mod tests {
 
     #[test]
     fn lane_names_are_json_escaped() {
-        let lanes = vec![LaneAccounting { name: "ti\"er\\1\n".into(), weight: 1, rejected: 0 }];
-        let j = ServeMetrics::aggregate(
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &lanes,
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        )
-        .to_json();
+        let j = fold(&ledger_named(&["ti\"er\\1\n"])).to_json();
         assert!(
             j.contains("\"name\": \"ti\\\"er\\\\1\\u000a\""),
             "hostile lane name must not break the record: {j}"
@@ -1061,25 +1100,14 @@ mod tests {
 
     #[test]
     fn lane_stats_partition_admitted_requests() {
-        let reqs = vec![rm(0, 0, 100, false), rm(1, 0, 200, true), rm(2, 1, 300, false)];
-        let sheds = vec![
-            ShedMetric { id: 3, lane: 0, queue_ns: 400 },
-            ShedMetric { id: 4, lane: 2, queue_ns: 500 },
-        ];
-        let fails = vec![FailMetric { id: 5, lane: 1, queue_ns: 600 }];
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &sheds,
-            &fails,
-            &[],
-            &[],
-            &acct(3),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let mut l = ledger(3);
+        served(&mut l, 0, 0, 100, false);
+        served(&mut l, 1, 0, 200, true);
+        served(&mut l, 2, 1, 300, false);
+        l.record(Terminal::shed(&req(3, 0, 0, 1, None), 400));
+        l.record(Terminal::shed(&req(4, 2, 0, 1, None), 500));
+        l.record(Terminal::failed(&req(5, 1, 0, 1, None), 600));
+        let m = fold(&l);
         assert_eq!(m.requests, 3);
         assert_eq!(m.shed, 2);
         assert_eq!(m.expired, 1);
@@ -1097,8 +1125,17 @@ mod tests {
         assert_eq!(m.lanes[2].shed, 1);
     }
 
-    fn rmc(id: u64, queue_ns: u64, chunk: u32, chunk_of: u32) -> RequestMetric {
-        RequestMetric { chunk, chunk_of, ..rm(id, 0, queue_ns, false) }
+    #[test]
+    #[should_panic(
+        expected = "served 1 + shed 1 + rejected 2 + failed 0 + front door 1 != submitted chunks 6"
+    )]
+    fn conservation_check_names_every_term() {
+        let mut l = ledger(2);
+        served(&mut l, 0, 0, 100, false);
+        l.record(Terminal::shed(&req(1, 1, 0, 1, None), 10));
+        l.reject(Priority::Standard, 2);
+        Ledger::assert_conserved([&l], 1, 5);
+        Ledger::assert_conserved([&l], 1, 6);
     }
 
     #[test]
@@ -1107,25 +1144,12 @@ mod tests {
         // 50_000 service). Parent 1: one whole chunk at 50_200. Parent 2
         // is incomplete (1 of 2 chunks served) — chunk counted, request
         // not.
-        let reqs = vec![
-            rmc(0, 100, 0, 2),
-            rmc(0, 300, 1, 2),
-            rmc(1, 200, 0, 1),
-            rmc(2, 400, 0, 2),
-        ];
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let mut l = ledger(1);
+        let chunks = [(0, 100, 0, 2), (0, 300, 1, 2), (1, 200, 0, 1), (2, 400, 0, 2)];
+        for (id, queue_ns, index, of) in chunks {
+            l.record(Terminal::served(&req(id, 0, index, of, None), queue_ns, 50_000));
+        }
+        let m = fold(&l);
         assert_eq!(m.requests, 2, "only complete parents are answered requests");
         assert_eq!(m.chunks_served, 4);
         assert_eq!(m.first_chunk_ns.max, 50_200, "per-parent minima: 50_100 and 50_200");
@@ -1191,20 +1215,11 @@ mod tests {
 
     #[test]
     fn histogram_totals_match_request_count_in_aggregate() {
-        let reqs: Vec<RequestMetric> = (0..17).map(|i| rm(i, 0, i * 100_000, false)).collect();
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let mut l = ledger(1);
+        for i in 0..17 {
+            served(&mut l, i, 0, i * 100_000, false);
+        }
+        let m = fold(&l);
         assert_eq!(m.latency_hist.total(), 17);
         // Edges are compile-time constants, so bucket identity is stable.
         assert_eq!(m.latency_hist.counts().len(), LATENCY_BUCKETS);

@@ -3,7 +3,6 @@
 //! byte-for-byte across thread widths and machines.
 
 use std::fmt;
-use std::time::Instant;
 
 use fnr_nerf::camera::Camera;
 use fnr_nerf::scene::{LegoScene, MicScene, PalaceScene, Scene};
@@ -180,8 +179,8 @@ impl fmt::Display for BatchKey {
 
 /// Position of one row-band chunk within its parent render: chunk
 /// `index` of `of`. The partition is a pure function of the job (see
-/// [`effective_chunks`] / [`row_band`]), so the split is byte-stable
-/// across machines, thread widths, and live-vs-virtual execution.
+/// [`effective_chunks`]), so the split is byte-stable across machines,
+/// thread widths, and live-vs-virtual execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkSpan {
     /// Zero-based chunk index within the parent request.
@@ -214,7 +213,7 @@ pub fn effective_chunks(k: usize, job: &Workload) -> u32 {
 /// The row range `[row0, row0 + rows)` of chunk `index` in an `of`-way
 /// split of a `height`-row image. Bands partition `[0, height)` exactly,
 /// differ in size by at most one row, and depend only on the arguments.
-pub fn row_band(height: usize, index: u32, of: u32) -> (usize, usize) {
+pub(crate) fn row_band(height: usize, index: u32, of: u32) -> (usize, usize) {
     let of = of.max(1) as usize;
     let i = index as usize;
     let row0 = i * height / of;
@@ -224,13 +223,13 @@ pub fn row_band(height: usize, index: u32, of: u32) -> (usize, usize) {
 
 /// A request in flight: the id the server assigned at admission, its
 /// traffic class and deadline, the clock-injected admission timestamp, and
-/// the work itself.
+/// the work itself. Every time field is `u64` nanoseconds on the caller's
+/// clock, so the same request flows through the live and virtual
+/// pipelines unchanged.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Monotone admission id.
     pub id: u64,
-    /// When the client's submit was accepted (real-clock metrics).
-    pub submitted_at: Instant,
     /// Traffic class — selects the scheduler lane.
     pub priority: crate::sched::Priority,
     /// Admission time on the scheduler's clock (nanoseconds since the
@@ -272,13 +271,13 @@ pub struct Response {
 /// exactly; the whole-render digest is the FNV fold of the chunk bytes
 /// in that order (see [`fnv1a_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkResponse {
+pub(crate) struct ChunkResponse {
     /// Id of the parent request.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Which chunk of the parent this is.
-    pub chunk: ChunkSpan,
+    pub(crate) chunk: ChunkSpan,
     /// This chunk's slice of the payload bytes.
-    pub bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
 }
 
 /// The terminal state of one chunk, observable while the rest of the
@@ -295,26 +294,13 @@ pub enum ChunkOutcome {
     Closed,
 }
 
-/// Serializes an image into the response payload layout.
-pub fn image_bytes(img: &fnr_nerf::psnr::Image) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + img.pixels().len() * 12);
-    out.extend_from_slice(&(img.width() as u32).to_le_bytes());
-    out.extend_from_slice(&(img.height() as u32).to_le_bytes());
-    for px in img.pixels() {
-        for c in px {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    out
-}
-
 /// Serializes one rendered row band into its chunk payload slice. `img`
 /// holds only the band's rows; `full_height` is the parent frame height.
 /// Chunk 0 carries the 8-byte `[width][height]` header (with the *full*
 /// frame height) so the stream is self-describing from the first chunk;
 /// later chunks carry bare pixel rows. Concatenating all chunks in index
-/// order is byte-identical to [`image_bytes`] of the full frame.
-pub fn chunk_image_bytes(img: &fnr_nerf::psnr::Image, full_height: usize, chunk: ChunkSpan) -> Vec<u8> {
+/// order is byte-identical to the whole frame serialized as one chunk.
+pub(crate) fn chunk_image_bytes(img: &fnr_nerf::psnr::Image, full_height: usize, chunk: ChunkSpan) -> Vec<u8> {
     let header = if chunk.index == 0 { 8 } else { 0 };
     let mut out = Vec::with_capacity(header + img.pixels().len() * 12);
     if chunk.index == 0 {
@@ -352,7 +338,7 @@ pub fn synthetic_payload(job: &Workload) -> Vec<u8> {
 /// 16-byte stand-in payload, later chunks are empty (empty slices leave
 /// the FNV fold unchanged), so concatenation in index order reproduces
 /// the unchunked bytes at any chunk count.
-pub fn synthetic_chunk_payload(job: &Workload, chunk: ChunkSpan) -> Vec<u8> {
+pub(crate) fn synthetic_chunk_payload(job: &Workload, chunk: ChunkSpan) -> Vec<u8> {
     if chunk.index == 0 { synthetic_payload(job) } else { Vec::new() }
 }
 
@@ -362,7 +348,7 @@ pub fn synthetic_chunk_payload(job: &Workload, chunk: ChunkSpan) -> Vec<u8> {
 /// to one response in row order. Parents missing any chunk (shed, failed,
 /// or still owned by a dead replica) are dropped — a partial render is
 /// not a response. Output is in ascending id order.
-pub fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
+pub(crate) fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
     chunks.sort_unstable_by_key(|c| (c.id, c.chunk.index));
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -389,7 +375,7 @@ pub fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
 /// renders) the per-request geometry and camera seed — a pure function of
 /// the job, shared by [`synthetic_payload`] and the fault injector so the
 /// chaos-poisoned set is mode- and timing-independent.
-pub fn job_hash(job: &Workload) -> u64 {
+pub(crate) fn job_hash(job: &Workload) -> u64 {
     let mut h = fnv1a(job.key().to_string().as_bytes());
     if let Workload::Render(j) = job {
         for field in [j.width as u64, j.height as u64, j.spp as u64, j.camera_seed] {
@@ -403,7 +389,7 @@ pub fn job_hash(job: &Workload) -> u64 {
 }
 
 /// FNV-1a 64-bit hash of a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
 }
 
@@ -413,7 +399,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// digest contract — folding a request's chunk payloads in row order
 /// yields the same hash as the unchunked response bytes, at any chunk
 /// count.
-pub fn fnv1a_with(state: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_with(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {
         h ^= b as u64;
@@ -517,7 +503,7 @@ mod tests {
     #[test]
     fn image_bytes_roundtrip_header() {
         let img = fnr_nerf::psnr::Image::new(3, 2);
-        let bytes = image_bytes(&img);
+        let bytes = chunk_image_bytes(&img, 2, ChunkSpan::WHOLE);
         assert_eq!(bytes.len(), 8 + 3 * 2 * 12);
         assert_eq!(u32::from_le_bytes(bytes[0..4].try_into().unwrap()), 3);
         assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
@@ -578,7 +564,13 @@ mod tests {
         for (i, px) in img.pixels_mut().iter_mut().enumerate() {
             *px = [i as f32, (i * 2) as f32, -(i as f32)];
         }
-        let whole = image_bytes(&img);
+        // Reference layout: [width u32 LE][height u32 LE][RGB f32 LE, row-major].
+        let mut whole = Vec::new();
+        whole.extend_from_slice(&3u32.to_le_bytes());
+        whole.extend_from_slice(&7u32.to_le_bytes());
+        for c in img.pixels().iter().flatten() {
+            whole.extend_from_slice(&c.to_le_bytes());
+        }
         for of in [1u32, 2, 3, 7] {
             let mut concat = Vec::new();
             let mut folded = 0xcbf2_9ce4_8422_2325u64;

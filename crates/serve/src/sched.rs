@@ -162,9 +162,12 @@ pub enum SchedStep {
 
 /// The weighted-deficit lane scheduler. Holds only policy state (deficits,
 /// the round-robin cursor, per-lane key rotations); the queues themselves
-/// are passed into [`LaneScheduler::step`], so the same state machine
-/// drives both the threaded server (via `fnr_par::mpmc::Lanes::recv_with`)
-/// and the single-threaded virtual-clock harness.
+/// are passed into [`LaneScheduler::step`]. Every serving mode drives it
+/// through the crate's one dispatch core, which turns each step into a
+/// shed, a brownout downgrade or a batcher offer: the threaded server
+/// calls that core under the admission lock (via
+/// `fnr_par::mpmc::Lanes::recv_with`), the virtual and cluster pipelines
+/// call it from their event loop.
 #[derive(Debug)]
 pub struct LaneScheduler {
     weights: Vec<u64>,
@@ -287,12 +290,10 @@ impl LaneScheduler {
 mod tests {
     use super::*;
     use crate::request::{RenderJob, RenderPrecision, SceneKind, Workload};
-    use std::time::Instant;
 
     fn req(id: u64, scene: SceneKind, priority: Priority, deadline_ns: Option<u64>) -> Request {
         Request {
             id,
-            submitted_at: Instant::now(),
             priority,
             arrival_ns: 0,
             deadline_ns,

@@ -14,9 +14,12 @@
 //!
 //! Admission is no longer one FIFO queue: requests enter the per-class
 //! bounded lane of [`fnr_par::mpmc::Lanes`] (backpressure per lane), and
-//! the scheduler thread drains them through [`LaneScheduler`] — weighted
-//! deficit across lanes, per-key round robin within a lane, and
-//! shed-on-dequeue for requests whose deadline passed while queued.
+//! the scheduler thread drains them through the crate's clock-injected
+//! dispatch core — the same one the virtual and cluster pipelines run:
+//! the weighted-deficit `LaneScheduler` (per-key round robin within a
+//! lane, shed-on-dequeue for requests whose deadline passed while
+//! queued), the precision brownout, and the batcher. Every outcome lands
+//! in one outcome ledger, the same one the virtual pipelines keep.
 //!
 //! # Fault tolerance
 //!
@@ -29,11 +32,10 @@
 //! [`RetryPolicy`] and finally complete as [`WaitOutcome::Failed`] —
 //! every admitted request terminates, so waiters never hang. A per-key
 //! [`CircuitBreaker`] can fast-fail keys with persistent failure streaks,
-//! and under queue-depth overload the [`Brownout`] controller downgrades
-//! Standard/Batch renders one precision step instead of shedding them.
+//! and under queue-depth overload the brownout downgrades Standard/Batch
+//! renders one precision step instead of shedding them.
 
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -45,20 +47,15 @@ use fnr_nerf::render::{render_reference_rows, BatchView, NgpModel, PreparedQuant
 use fnr_par::mpmc::{Lanes, Queue, RecvTimeout};
 use fnr_tensor::Precision;
 
-use crate::batch::{Batch, Batcher, BatcherConfig};
-use crate::fault::{
-    degrade_precision, Brownout, BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault,
-    RetryPolicy,
-};
-use crate::metrics::{
-    BatchMetric, DegradeMetric, FailMetric, LaneAccounting, RequestMetric, RobustTotals,
-    ServeMetrics, ShedMetric,
-};
+use crate::batch::Batch;
+use crate::dispatch::{Dispatch, Dispatcher};
+use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault, RetryPolicy};
+use crate::metrics::{Ledger, RobustTotals, ServeMetrics, Terminal};
 use crate::request::{
     chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
     ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
-use crate::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
+use crate::sched::{Priority, SchedConfig};
 use crate::supervise::{panic_reason, supervisor_loop, CrashReport, SuperviseConfig};
 
 /// A named table generator the server can execute: `name → payload bytes`.
@@ -366,26 +363,20 @@ impl BoardState {
     }
 }
 
-/// Everything the serving roles share: queues, board, metrics sinks,
+/// Everything the serving roles share: queues, board, outcome ledger,
 /// resilience policies and robustness counters. One `Arc` of this is held
 /// by the [`Server`], every [`Client`], and every role thread.
 pub(crate) struct ServerShared {
     pub(crate) epoch: Instant,
     pub(crate) sched: SchedConfig,
     pub(crate) tables: TableRegistry,
-    pub(crate) batcher_cfg: BatcherConfig,
     pub(crate) lanes: Lanes<Request>,
     /// Resolved per-lane capacities; zero means hard-reject at admission.
     pub(crate) lane_caps: Vec<usize>,
     pub(crate) batches: Queue<Batch>,
     pub(crate) board: Board,
     pub(crate) next_id: AtomicU64,
-    pub(crate) rejected: Vec<AtomicUsize>,
-    pub(crate) request_metrics: Mutex<Vec<RequestMetric>>,
-    pub(crate) batch_metrics: Mutex<Vec<BatchMetric>>,
-    pub(crate) shed_metrics: Mutex<Vec<ShedMetric>>,
-    pub(crate) fail_metrics: Mutex<Vec<FailMetric>>,
-    pub(crate) degrade_metrics: Mutex<Vec<DegradeMetric>>,
+    pub(crate) ledger: Mutex<Ledger>,
     /// Batches completed successfully — the supervisor reads this to
     /// reset its consecutive-crash streak.
     pub(crate) served_batches: AtomicUsize,
@@ -395,7 +386,6 @@ pub(crate) struct ServerShared {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) supervise: SuperviseConfig,
-    pub(crate) brownout_cfg: BrownoutConfig,
     /// Set by [`Server::drain`] once the pipeline threads are joined; the
     /// supervisor exits on its next idle tick.
     pub(crate) shutdown: AtomicBool,
@@ -405,7 +395,8 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Nanoseconds since the server epoch (the breaker clock).
+    /// Nanoseconds since the server epoch: the one live clock every
+    /// arrival, deadline, dispatch and outcome record is stamped on.
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -431,12 +422,11 @@ impl Client {
         let lane = sh.sched.lane_of(priority);
         let k = effective_chunks(sh.chunks, &job);
         if sh.lane_caps[lane] == 0 {
-            sh.rejected[lane].fetch_add(k as usize, Ordering::Relaxed);
+            sh.ledger.lock().unwrap().reject(priority, k as usize);
             return Err(SubmitError::Rejected);
         }
         let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = sh.epoch.elapsed().as_nanos() as u64;
-        let submitted_at = Instant::now();
+        let arrival_ns = sh.now_ns();
         let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(d.as_nanos() as u64));
         // The reassembly slot must exist before the first chunk can reach
         // a worker, or a fast completion would have nowhere to land.
@@ -444,7 +434,6 @@ impl Client {
         for index in 0..k {
             let req = Request {
                 id,
-                submitted_at,
                 priority,
                 arrival_ns,
                 deadline_ns,
@@ -466,13 +455,11 @@ impl Client {
             if let Err(e) = sent {
                 if index == 0 {
                     sh.board.abandon(id);
-                    sh.rejected[lane].fetch_add(k as usize, Ordering::Relaxed);
-                } else {
-                    // Admission closed mid-request (drain race): the sent
-                    // chunks terminate through the pipeline; the remainder
-                    // count as rejected and the waiter observes Closed.
-                    sh.rejected[lane].fetch_add((k - index) as usize, Ordering::Relaxed);
                 }
+                // Admission closed mid-request (drain race): the sent
+                // chunks terminate through the pipeline; the remainder
+                // count as rejected and the waiter observes Closed.
+                sh.ledger.lock().unwrap().reject(priority, (k - index) as usize);
                 return Err(e);
             }
         }
@@ -584,7 +571,6 @@ impl Server {
             epoch: Instant::now(),
             sched: cfg.sched.clone(),
             tables: cfg.tables.clone(),
-            batcher_cfg: BatcherConfig { max_batch: cfg.max_batch, linger: cfg.linger },
             lanes: Lanes::bounded(&floored),
             lane_caps,
             // Batch hand-off is sized to keep workers busy without
@@ -592,12 +578,7 @@ impl Server {
             batches: Queue::bounded(workers * 2),
             board: Board::new(),
             next_id: AtomicU64::new(0),
-            rejected: cfg.sched.lanes.iter().map(|_| AtomicUsize::new(0)).collect(),
-            request_metrics: Mutex::new(Vec::new()),
-            batch_metrics: Mutex::new(Vec::new()),
-            shed_metrics: Mutex::new(Vec::new()),
-            fail_metrics: Mutex::new(Vec::new()),
-            degrade_metrics: Mutex::new(Vec::new()),
+            ledger: Mutex::new(Ledger::new(&cfg.sched)),
             served_batches: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
@@ -605,7 +586,6 @@ impl Server {
             injector: cfg.injector,
             retry: cfg.retry,
             supervise: cfg.supervise,
-            brownout_cfg: cfg.brownout,
             shutdown: AtomicBool::new(false),
             workers,
             chunks: cfg.chunks,
@@ -613,7 +593,8 @@ impl Server {
 
         let scheduler = {
             let sh = Arc::clone(&shared);
-            std::thread::spawn(move || scheduler_loop(&sh))
+            let dispatch = Dispatcher::new(cfg);
+            std::thread::spawn(move || scheduler_loop(&sh, dispatch))
         };
         let (crash_tx, crash_rx) = mpsc::channel::<CrashReport>();
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
@@ -647,17 +628,6 @@ impl Server {
         self.shutdown();
         let sh = &self.shared;
         let responses = sh.board.drain_sorted();
-        let lane_acct: Vec<LaneAccounting> = sh
-            .sched
-            .lanes
-            .iter()
-            .zip(&sh.rejected)
-            .map(|(l, r)| LaneAccounting {
-                name: l.name.clone(),
-                weight: l.weight,
-                rejected: r.load(Ordering::Relaxed),
-            })
-            .collect();
         let robust = {
             let breaker = sh.breaker.lock().unwrap();
             RobustTotals {
@@ -668,17 +638,11 @@ impl Server {
             }
         };
         let metrics = ServeMetrics::aggregate(
-            &std::mem::take(&mut *sh.request_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.batch_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.shed_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.fail_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.degrade_metrics.lock().unwrap()),
+            &sh.ledger.lock().unwrap(),
             &responses,
-            &lane_acct,
             robust,
-            sh.epoch.elapsed().as_nanos() as u64,
+            sh.now_ns(),
             sh.workers,
-            fnr_par::current_num_threads(),
         );
         ServeReport { responses, metrics }
     }
@@ -734,84 +698,40 @@ pub fn run<R: Send>(cfg: &ServerConfig, drive: impl FnOnce(&Client) -> R + Send)
 }
 
 /// The scheduler role: drains the admission lanes through the
-/// weighted-deficit [`LaneScheduler`] (multi-lane pop), sheds expired
-/// requests, applies the brownout precision downgrade, coalesces the
-/// served ones, and forwards flushed batches. Greedily re-steps after
-/// every pop so bursts coalesce even when workers are idle.
-fn scheduler_loop(shared: &ServerShared) {
-    let mut sched = LaneScheduler::new(&shared.sched);
-    let mut batcher = Batcher::new(shared.batcher_cfg);
-    let mut brownout = Brownout::new(shared.brownout_cfg);
-    // Total queue depth observed by the picker on its most recent pass —
-    // the brownout's pressure signal, measured where it is free to read.
-    let depth = Cell::new(0usize);
-    let now_ns = || shared.epoch.elapsed().as_nanos() as u64;
-    let pick = |sched: &mut LaneScheduler, ls: &mut [std::collections::VecDeque<Request>]| {
-        depth.set(ls.iter().map(|l| l.len()).sum());
-        sched.step(ls, now_ns())
-    };
-    // Applies one scheduling decision; returns a flushed batch if the
-    // served request completed one.
-    let apply = |step: SchedStep, batcher: &mut Batcher, brownout: &mut Brownout| -> Option<Batch> {
-        match step {
-            SchedStep::Serve { lane, mut req } => {
-                if brownout.observe(depth.get()) && req.priority != Priority::Interactive {
-                    if let Workload::Render(j) = &mut req.job {
-                        if let Some(lower) = degrade_precision(j.precision) {
-                            j.precision = lower;
-                            shared
-                                .degrade_metrics
-                                .lock()
-                                .unwrap()
-                                .push(DegradeMetric { id: req.id, lane });
-                        }
-                    }
-                }
-                batcher.offer(req, Instant::now())
-            }
-            SchedStep::Shed { lane, req } => {
-                brownout.observe(depth.get());
-                shared.shed_metrics.lock().unwrap().push(ShedMetric {
-                    id: req.id,
-                    lane,
-                    queue_ns: shared.epoch.elapsed().as_nanos() as u64 - req.arrival_ns,
-                });
-                shared.board.post_shed(req.id, req.chunk.index);
-                None
-            }
-        }
-    };
+/// [`Dispatcher`] — under the lanes' lock, on the server clock — records
+/// its sheds and downgrades, and forwards flushed batches. Greedily
+/// re-steps after every pop so bursts coalesce even when workers are
+/// idle.
+fn scheduler_loop(shared: &ServerShared, mut dispatch: Dispatcher) {
     loop {
-        let step = match batcher.next_deadline() {
-            None => match shared.lanes.recv_with(|ls| pick(&mut sched, ls)) {
-                Some(s) => s,
+        let first = match dispatch.batcher.next_deadline() {
+            None => match shared.lanes.recv_with(|ls| dispatch.step(ls, shared.now_ns())) {
+                Some(d) => d,
                 None => break,
             },
             Some(deadline) => {
-                let now = Instant::now();
+                let now = shared.now_ns();
                 if deadline <= now {
-                    for b in batcher.expire(now) {
+                    for b in dispatch.batcher.expire(now) {
                         if shared.batches.send(b).is_err() {
                             return; // queue torn down; nothing left to do
                         }
                     }
                     continue;
                 }
-                match shared.lanes.recv_with_timeout(deadline - now, |ls| pick(&mut sched, ls)) {
-                    RecvTimeout::Item(s) => s,
+                let timeout = Duration::from_nanos(deadline - now);
+                let step = |ls: &mut [VecDeque<Request>]| dispatch.step(ls, shared.now_ns());
+                match shared.lanes.recv_with_timeout(timeout, step) {
+                    RecvTimeout::Item(d) => d,
                     RecvTimeout::TimedOut => continue,
                     RecvTimeout::Closed => break,
                 }
             }
         };
         let mut flushed = Vec::new();
-        if let Some(b) = apply(step, &mut batcher, &mut brownout) {
-            flushed.push(b);
-        }
-        while let Some(more) = shared.lanes.try_recv_with(|ls| pick(&mut sched, ls)) {
-            if let Some(b) = apply(more, &mut batcher, &mut brownout) {
-                flushed.push(b);
-            }
+        settle_dispatch(shared, first, &mut flushed);
+        while let Some(more) = shared.lanes.try_recv_with(|ls| dispatch.step(ls, shared.now_ns())) {
+            settle_dispatch(shared, more, &mut flushed);
         }
         for b in flushed {
             if shared.batches.send(b).is_err() {
@@ -819,12 +739,30 @@ fn scheduler_loop(shared: &ServerShared) {
             }
         }
     }
-    for b in batcher.drain() {
+    for b in dispatch.batcher.drain() {
         if shared.batches.send(b).is_err() {
             return;
         }
     }
     shared.batches.close();
+}
+
+/// Records one dispatch decision outside the admission lock: a shed goes
+/// to the ledger and its waiter, a downgrade to the ledger, a flushed
+/// batch onto `flushed`.
+fn settle_dispatch(shared: &ServerShared, d: Dispatch, flushed: &mut Vec<Batch>) {
+    match d {
+        Dispatch::Shed { req } => {
+            shared.ledger.lock().unwrap().record(Terminal::shed(&req, shared.now_ns()));
+            shared.board.post_shed(req.id, req.chunk.index);
+        }
+        Dispatch::Offered { lane, degraded, flushed: batch } => {
+            if degraded {
+                shared.ledger.lock().unwrap().degrade(lane);
+            }
+            flushed.extend(batch);
+        }
+    }
 }
 
 /// The worker role: executes batches until the queue closes. A panicking
@@ -873,7 +811,7 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
             std::thread::sleep(Duration::from_nanos(d));
         }
     }
-    let exec_start = Instant::now();
+    let start_ns = shared.now_ns();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if let Some(inj) = &shared.injector {
             if let Some(bad) = batch.requests.iter().find(|r| inj.poisons(&r.job)) {
@@ -884,30 +822,12 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
     }));
     match result {
         Ok(responses) => {
-            let service_ns = exec_start.elapsed().as_nanos() as u64;
-            let end_ns = shared.now_ns();
+            let service_ns = shared.now_ns() - start_ns;
             {
-                let mut bm = shared.batch_metrics.lock().unwrap();
-                bm.push(BatchMetric {
-                    key: batch.key.clone(),
-                    size: batch.requests.len(),
-                    service_ns,
-                    flush: batch.flush,
-                });
-            }
-            {
-                let mut rm = shared.request_metrics.lock().unwrap();
+                let mut ledger = shared.ledger.lock().unwrap();
+                ledger.batch(&batch, service_ns);
                 for req in &batch.requests {
-                    rm.push(RequestMetric {
-                        id: req.id,
-                        lane: shared.sched.lane_of(req.priority),
-                        queue_ns: exec_start.duration_since(req.submitted_at).as_nanos() as u64,
-                        service_ns,
-                        batch_size: batch.requests.len(),
-                        chunk: req.chunk.index,
-                        chunk_of: req.chunk.of,
-                        deadline_missed: req.deadline_ns.is_some_and(|d| end_ns >= d),
-                    });
+                    ledger.record(Terminal::served(req, start_ns, service_ns));
                 }
             }
             shared.breaker.lock().unwrap().record_success(&batch.key);
@@ -920,17 +840,13 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
 }
 
 /// Terminates every member of `batch` as [`WaitOutcome::Failed`] with
-/// `reason`, recording per-lane fail metrics. Waiters unblock immediately.
+/// `reason`, recording each in the ledger. Waiters unblock immediately.
 pub(crate) fn fail_batch(shared: &ServerShared, batch: &Batch, reason: &str) {
-    let now = Instant::now();
+    let now = shared.now_ns();
     {
-        let mut fm = shared.fail_metrics.lock().unwrap();
+        let mut ledger = shared.ledger.lock().unwrap();
         for req in &batch.requests {
-            fm.push(FailMetric {
-                id: req.id,
-                lane: shared.sched.lane_of(req.priority),
-                queue_ns: now.duration_since(req.submitted_at).as_nanos() as u64,
-            });
+            ledger.record(Terminal::failed(req, now));
         }
     }
     for req in &batch.requests {
@@ -960,20 +876,10 @@ fn scene_model(scene: crate::request::SceneKind) -> &'static NgpModel {
 struct QuantEntry {
     prepared: OnceLock<PreparedQuantized>,
     /// Times the quantize+calibrate closure actually ran (1 after first
-    /// use, forever — the invariant [`quantized_cache_stats`] exposes).
+    /// use, forever — the invariant the cache test pins).
     builds: AtomicU64,
     /// Batches served through this entry.
     uses: AtomicU64,
-}
-
-/// Counters for one `(scene, precision)` entry of the prepared-model cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QuantCacheStats {
-    /// Times the model was quantized+calibrated (stays at 1 after the
-    /// first batch — later batches perform zero quantize/calibrate work).
-    pub builds: u64,
-    /// Batches rendered through the cached model.
-    pub uses: u64,
 }
 
 /// Key and map types of the prepared-quantized-model cache.
@@ -1012,21 +918,6 @@ fn prepared_quantized(
         scene_model(scene).prepare_quantized(precision)
     });
     entry
-}
-
-/// Usage counters of the prepared-quantized-model cache entry for
-/// `(scene, precision)` — all zeros if no quantized batch has touched that
-/// key yet. Test hook for the hot-path contract: after the first batch,
-/// `builds` stays at 1 while `uses` keeps growing.
-pub fn quantized_cache_stats(
-    scene: crate::request::SceneKind,
-    precision: Precision,
-) -> QuantCacheStats {
-    let map = quant_cache().lock().unwrap();
-    map.get(&(scene, precision)).map_or(QuantCacheStats::default(), |e| QuantCacheStats {
-        builds: e.builds.load(Ordering::Relaxed),
-        uses: e.uses.load(Ordering::Relaxed),
-    })
 }
 
 /// Executes one coalesced batch. Render batches share one model (and for
@@ -1100,6 +991,28 @@ pub(crate) fn execute_batch(batch: &Batch, tables: &TableRegistry) -> Vec<ChunkR
 mod tests {
     use super::*;
     use crate::request::{RenderJob, SceneKind};
+
+    /// Counters for one `(scene, precision)` entry of the prepared-model
+    /// cache.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    struct QuantCacheStats {
+        /// Times the model was quantized+calibrated (stays at 1 after the
+        /// first batch — later batches perform zero quantize/calibrate
+        /// work).
+        builds: u64,
+        /// Batches rendered through the cached model.
+        uses: u64,
+    }
+
+    /// Usage counters of the cache entry for `(scene, precision)` — all
+    /// zeros if no quantized batch has touched that key yet.
+    fn quantized_cache_stats(scene: SceneKind, precision: Precision) -> QuantCacheStats {
+        let map = quant_cache().lock().unwrap();
+        map.get(&(scene, precision)).map_or(QuantCacheStats::default(), |e| QuantCacheStats {
+            builds: e.builds.load(Ordering::Relaxed),
+            uses: e.uses.load(Ordering::Relaxed),
+        })
+    }
 
     fn tiny_render(seed: u64) -> Workload {
         Workload::Render(RenderJob {

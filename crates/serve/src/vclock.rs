@@ -1,9 +1,10 @@
-//! The single-threaded discrete-event mirror of the threaded serving
-//! pipeline, shared by the one-server virtual harness
-//! ([`crate::run_virtual`]) and the cluster simulator
-//! ([`crate::cluster::run_cluster`]): per-lane bounded queues →
-//! [`LaneScheduler`] → [`Batcher`] → a `2 × workers` batch queue →
-//! virtual workers, all on one injected virtual clock.
+//! The single-threaded discrete-event driver of the serving core, shared
+//! by the one-server virtual harness ([`crate::run_virtual`]) and the
+//! cluster simulator ([`crate::cluster::run_cluster`]): per-lane bounded
+//! queues → the [`Dispatcher`] (the same scheduler, brownout and batcher
+//! the threaded server runs) → a `2 × workers` batch queue → virtual
+//! workers, all on one injected virtual clock, recording into the same
+//! [`Ledger`] the threaded server keeps.
 //!
 //! Every scheduling decision is a deterministic function of the admitted
 //! schedule and the clock; batches are only *decided* here and rendered
@@ -16,15 +17,27 @@
 //! door can fail it over.
 
 use std::collections::{HashSet, VecDeque};
-use std::time::{Duration, Instant};
 
-use crate::batch::{Batch, Batcher, BatcherConfig};
+use crate::batch::Batch;
+use crate::dispatch::{Dispatch, Dispatcher};
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{BatchMetric, FailMetric, RequestMetric, ShedMetric};
+use crate::metrics::{Ledger, Terminal};
 use crate::request::{BatchKey, ChunkSpan, Request};
-use crate::sched::{LaneScheduler, SchedStep};
 use crate::server::ServerConfig;
 use crate::workload::TimedJob;
+
+/// Chunk `chunk` of the scheduled job `tj`, arriving as request `id` at
+/// virtual time `at`.
+pub(crate) fn arrival(id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> Request {
+    Request {
+        id,
+        priority: tj.priority,
+        arrival_ns: at,
+        deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
+        chunk,
+        job: tj.job.clone(),
+    }
+}
 
 /// One virtual worker: when it frees up, and the batch it is serving (so
 /// a kill can orphan in-service work instead of silently completing it).
@@ -52,13 +65,11 @@ pub(crate) enum PipeEvent {
     Started { id: u64, chunk: u32, queue_ns: u64 },
     /// The chunk's batch completed service (it will be served).
     Completed { id: u64, chunk: u32 },
-    /// A hedge-tracked chunk was shed by the scheduler; the terminal
-    /// record is deferred to the cluster arbiter (only emitted for chunks
-    /// marked via [`VirtualPipeline::mark_hedged`]).
-    Shed { id: u64, chunk: u32, lane: usize, queue_ns: u64 },
-    /// A hedge-tracked chunk was failed by the chaos injector; the
-    /// terminal record is deferred to the cluster arbiter.
-    Failed { id: u64, chunk: u32, lane: usize, queue_ns: u64 },
+    /// A hedge-tracked copy was shed by the scheduler or failed by the
+    /// chaos injector; its terminal record is deferred to the cluster
+    /// arbiter, which commits it only if no other copy survives (only
+    /// emitted for chunks marked via [`VirtualPipeline::mark_hedged`]).
+    Lost { id: u64, chunk: u32, terminal: Terminal },
 }
 
 /// What [`VirtualPipeline::cancel`] found.
@@ -87,13 +98,9 @@ struct ModelCache {
 
 /// The deterministic virtual pipeline for one (replica) server.
 pub(crate) struct VirtualPipeline {
-    sched_cfg: crate::sched::SchedConfig,
-    /// Arbitrary real-clock origin the virtual clock is rendered onto (the
-    /// [`Batcher`] speaks `Instant`); never a measurement.
-    epoch: Instant,
+    cfg: ServerConfig,
     caps: Vec<usize>,
     batch_q_cap: usize,
-    batcher_cfg: BatcherConfig,
     service_ns: u64,
     /// Size-aware service: extra virtual time per batch member, so a fat
     /// batch costs more than a singleton and overload is a function of
@@ -109,11 +116,10 @@ pub(crate) struct VirtualPipeline {
     /// real-time retry loop); a delayed one stretches its batch's virtual
     /// service time. Same seeds as live mode, same poisoned set.
     injector: Option<FaultInjector>,
-    sched: LaneScheduler,
-    batcher: Batcher,
+    dispatch: Dispatcher,
     vlanes: Vec<VecDeque<Request>>,
-    /// Batches flushed while the batch queue was full: the scheduler
-    /// stalls behind them, exactly like the threaded batcher parked in
+    /// Batches flushed while the batch queue was full: the dispatcher
+    /// stalls behind them, exactly like the threaded scheduler parked in
     /// `send()` — which is where queueing (and deadline shedding) comes
     /// from under saturation.
     stalled: VecDeque<Batch>,
@@ -137,11 +143,8 @@ pub(crate) struct VirtualPipeline {
     /// dropped — no request metric, no response, the work was wasted.
     suppressed: HashSet<(u64, u32)>,
     pub(crate) decided: Vec<Batch>,
-    pub(crate) request_metrics: Vec<RequestMetric>,
-    pub(crate) batch_metrics: Vec<BatchMetric>,
-    pub(crate) shed_metrics: Vec<ShedMetric>,
-    pub(crate) fail_metrics: Vec<FailMetric>,
-    pub(crate) rejected: Vec<usize>,
+    /// Every outcome this pipeline decided (a kill does not reset it).
+    pub(crate) ledger: Ledger,
     /// Total virtual time the workers spent serving completed batches.
     pub(crate) busy_ns: u64,
     pub(crate) wall_ns: u64,
@@ -153,7 +156,7 @@ impl VirtualPipeline {
     /// `cold_start_ns` extra on their first batch after a cold start), and
     /// `injector` optionally adds seeded chaos (the same injector type —
     /// and seeds — the live server takes).
-    pub(crate) fn with_injector(
+    pub(crate) fn new(
         cfg: &ServerConfig,
         service_ns: u64,
         cold_start_ns: u64,
@@ -162,12 +165,8 @@ impl VirtualPipeline {
     ) -> Self {
         let caps = cfg.sched.capacities(cfg.queue_capacity);
         let workers = cfg.workers.max(1);
-        let batcher_cfg = BatcherConfig { max_batch: cfg.max_batch, linger: cfg.linger };
         VirtualPipeline {
-            sched_cfg: cfg.sched.clone(),
-            epoch: Instant::now(),
             batch_q_cap: workers * 2,
-            batcher_cfg,
             service_ns: service_ns.max(1),
             per_item_ns: 0,
             slow_factor: 1,
@@ -178,8 +177,7 @@ impl VirtualPipeline {
                 misses: 0,
             }),
             injector: injector.filter(|i| !i.is_empty()),
-            sched: LaneScheduler::new(&cfg.sched),
-            batcher: Batcher::new(batcher_cfg),
+            dispatch: Dispatcher::new(cfg),
             vlanes: caps.iter().map(|_| VecDeque::new()).collect(),
             stalled: VecDeque::new(),
             batch_q: VecDeque::new(),
@@ -190,19 +188,12 @@ impl VirtualPipeline {
             hedged: HashSet::new(),
             suppressed: HashSet::new(),
             decided: Vec::new(),
-            request_metrics: Vec::new(),
-            batch_metrics: Vec::new(),
-            shed_metrics: Vec::new(),
-            fail_metrics: Vec::new(),
-            rejected: vec![0; caps.len()],
+            ledger: Ledger::new(&cfg.sched),
             busy_ns: 0,
             wall_ns: 0,
             caps,
+            cfg: cfg.clone(),
         }
-    }
-
-    fn inst(&self, vt: u64) -> Instant {
-        self.epoch + Duration::from_nanos(vt)
     }
 
     /// Requests admitted and not yet terminal.
@@ -263,7 +254,7 @@ impl VirtualPipeline {
                 return CancelOutcome::Queued;
             }
         }
-        if self.batcher.remove(id, chunk).is_some() {
+        if self.dispatch.batcher.remove(id, chunk).is_some() {
             self.inflight -= 1;
             return CancelOutcome::Queued;
         }
@@ -303,31 +294,16 @@ impl VirtualPipeline {
         self.cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses))
     }
 
-    /// Admits one chunk of a scheduled job at virtual time `at`. A full
-    /// (or zero-capacity) lane rejects — a virtual open-loop submitter
-    /// cannot park. Returns whether the chunk entered its lane.
-    pub(crate) fn admit(&mut self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> bool {
-        let arrival = Request {
-            id,
-            submitted_at: self.inst(at),
-            priority: tj.priority,
-            arrival_ns: at,
-            deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
-            chunk,
-            job: tj.job.clone(),
-        };
-        self.admit_request(arrival, at)
-    }
-
-    /// Admits an already-built request at virtual time `at` — the
-    /// failover path: a request orphaned by a kill keeps its original
+    /// Admits `req` at virtual time `at`. A full (or zero-capacity) lane
+    /// rejects — a virtual open-loop submitter cannot park. Returns whether
+    /// the chunk entered its lane. A failed-over request keeps its original
     /// `arrival_ns` and deadline, so its queue latency honestly includes
     /// the time it wasted on the dead replica.
     pub(crate) fn admit_request(&mut self, req: Request, at: u64) -> bool {
-        let lane = self.sched_cfg.lane_of(req.priority);
+        let lane = self.cfg.sched.lane_of(req.priority);
         self.wall_ns = self.wall_ns.max(at);
         if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
-            self.rejected[lane] += 1;
+            self.ledger.reject(req.priority, 1);
             return false;
         }
         self.vlanes[lane].push_back(req);
@@ -340,7 +316,7 @@ impl VirtualPipeline {
     /// existed (the primary copy still owns the request), so it must not
     /// perturb the conservation law.
     pub(crate) fn admit_hedge(&mut self, req: Request, at: u64) -> bool {
-        let lane = self.sched_cfg.lane_of(req.priority);
+        let lane = self.cfg.sched.lane_of(req.priority);
         if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
             return false;
         }
@@ -359,10 +335,7 @@ impl VirtualPipeline {
             .map(|w| w.free_at)
             .filter(|&t| t > now)
             .min();
-        let linger = self
-            .batcher
-            .next_deadline()
-            .map(|d| (d.saturating_duration_since(self.epoch).as_nanos() as u64).max(now));
+        let linger = self.dispatch.batcher.next_deadline().map(|d| d.max(now));
         match (completion, linger) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -385,8 +358,7 @@ impl VirtualPipeline {
     /// groups flush, then the pipeline pumps to its fixpoint.
     pub(crate) fn fire(&mut self, t: u64) {
         self.complete_finished(t);
-        let when = self.inst(t);
-        for b in self.batcher.expire(when) {
+        for b in self.dispatch.batcher.expire(t) {
             self.stalled.push_back(b);
         }
         self.pump(t);
@@ -401,12 +373,7 @@ impl VirtualPipeline {
             if w.free_at <= now {
                 if let Some(run) = w.running.take() {
                     let full_size = run.batch.requests.len();
-                    self.batch_metrics.push(BatchMetric {
-                        key: run.batch.key.clone(),
-                        size: full_size,
-                        service_ns: run.service_ns,
-                        flush: run.batch.flush,
-                    });
+                    self.ledger.batch(&run.batch, run.service_ns);
                     let mut batch = run.batch;
                     if !self.suppressed.is_empty() {
                         // Losing hedge copies finish without a trace: the
@@ -415,18 +382,7 @@ impl VirtualPipeline {
                         batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
                     }
                     for req in &batch.requests {
-                        self.request_metrics.push(RequestMetric {
-                            id: req.id,
-                            lane: self.sched_cfg.lane_of(req.priority),
-                            queue_ns: run.start_ns - req.arrival_ns,
-                            service_ns: run.service_ns,
-                            batch_size: full_size,
-                            chunk: req.chunk.index,
-                            chunk_of: req.chunk.of,
-                            deadline_missed: req
-                                .deadline_ns
-                                .is_some_and(|d| run.start_ns + run.service_ns >= d),
-                        });
+                        self.ledger.record(Terminal::served(req, run.start_ns, run.service_ns));
                         if self.track_events {
                             self.hedged.remove(&(req.id, req.chunk.index));
                             self.events
@@ -478,21 +434,7 @@ impl VirtualPipeline {
         for req in batch.requests.drain(..) {
             match inj.decide(&req.job) {
                 Some(InjectedFault::Panic) => {
-                    let lane = self.sched_cfg.lane_of(req.priority);
-                    let queue_ns = now - req.arrival_ns;
-                    let key = (req.id, req.chunk.index);
-                    if self.track_events && self.hedged.remove(&key) {
-                        // A hedge-arbitrated copy: the cluster decides
-                        // which copy's terminal outcome counts.
-                        self.events.push(PipeEvent::Failed {
-                            id: req.id,
-                            chunk: req.chunk.index,
-                            lane,
-                            queue_ns,
-                        });
-                    } else if !self.suppressed.remove(&key) {
-                        self.fail_metrics.push(FailMetric { id: req.id, lane, queue_ns });
-                    }
+                    self.settle(&req, Terminal::failed(&req, now));
                     self.inflight -= 1;
                 }
                 Some(InjectedFault::Delay(d)) => {
@@ -507,6 +449,19 @@ impl VirtualPipeline {
         }
         batch.requests = survivors;
         Some((batch, delay_ns))
+    }
+
+    /// Commits a shed or failed chunk's terminal record — or, for a
+    /// hedge-arbitrated copy, defers it to the cluster, which commits it
+    /// only if no other copy survives. A suppressed losing copy (already
+    /// superseded by its twin's completion) records nothing.
+    fn settle(&mut self, req: &Request, terminal: Terminal) {
+        let key = (req.id, req.chunk.index);
+        if self.track_events && self.hedged.remove(&key) {
+            self.events.push(PipeEvent::Lost { id: key.0, chunk: key.1, terminal });
+        } else if !self.suppressed.remove(&key) {
+            self.ledger.record(terminal);
+        }
     }
 
     /// One fixpoint pass of the virtual pipeline at time `now`: idle
@@ -553,30 +508,19 @@ impl VirtualPipeline {
                 self.batch_q.push_back(self.stalled.pop_front().expect("non-empty"));
                 progress = true;
             }
-            // The scheduler drains lanes only while nothing is stalled
-            // ahead of it (the threaded batcher parks in send() likewise).
+            // The dispatcher drains lanes only while nothing is stalled
+            // ahead of it (the threaded scheduler parks in send() likewise).
             if self.stalled.is_empty() {
-                match self.sched.step(&mut self.vlanes, now) {
-                    Some(SchedStep::Serve { req, .. }) => {
-                        if let Some(b) = self.batcher.offer(req, self.inst(now)) {
-                            self.stalled.push_back(b);
+                match self.dispatch.step(&mut self.vlanes, now) {
+                    Some(Dispatch::Offered { lane, degraded, flushed }) => {
+                        if degraded {
+                            self.ledger.degrade(lane);
                         }
+                        self.stalled.extend(flushed);
                         progress = true;
                     }
-                    Some(SchedStep::Shed { lane, req }) => {
-                        let queue_ns = now - req.arrival_ns;
-                        if self.track_events && self.hedged.remove(&(req.id, req.chunk.index)) {
-                            // Hedge-arbitrated: the cluster commits the
-                            // shed only if no other copy survives.
-                            self.events.push(PipeEvent::Shed {
-                                id: req.id,
-                                chunk: req.chunk.index,
-                                lane,
-                                queue_ns,
-                            });
-                        } else {
-                            self.shed_metrics.push(ShedMetric { id: req.id, lane, queue_ns });
-                        }
+                    Some(Dispatch::Shed { req }) => {
+                        self.settle(&req, Terminal::shed(&req, now));
                         self.inflight -= 1;
                         progress = true;
                     }
@@ -593,7 +537,7 @@ impl VirtualPipeline {
     /// service.
     pub(crate) fn has_pending(&self) -> bool {
         self.vlanes.iter().any(|l| !l.is_empty())
-            || !self.batcher.is_empty()
+            || !self.dispatch.batcher.is_empty()
             || !self.stalled.is_empty()
             || !self.batch_q.is_empty()
             || self.workers.iter().any(|w| w.running.is_some())
@@ -634,7 +578,7 @@ impl VirtualPipeline {
         for lane in &mut self.vlanes {
             orphans.extend(lane.drain(..));
         }
-        for b in self.batcher.drain() {
+        for b in self.dispatch.batcher.drain() {
             orphans.extend(b.requests);
         }
         for b in self.stalled.drain(..) {
@@ -657,8 +601,7 @@ impl VirtualPipeline {
         }
         self.hedged.clear();
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
-        self.sched = LaneScheduler::new(&self.sched_cfg);
-        self.batcher = Batcher::new(self.batcher_cfg);
+        self.dispatch = Dispatcher::new(&self.cfg);
         if let Some(cache) = &mut self.cache {
             cache.warm.clear();
         }

@@ -1,8 +1,9 @@
 //! Chaos and resilience integration tests for the supervised serving
 //! runtime: seeded panic injection with bisection quarantine, retry
 //! accounting, live/virtual poisoned-set agreement, circuit-breaker
-//! fast-fail, precision brownout, restart-budget exhaustion, and the
-//! graceful [`Server::drain`] path.
+//! fast-fail, precision brownout (and its live/virtual/cluster
+//! agreement), restart-budget exhaustion, and the graceful
+//! [`Server::drain`] path.
 //!
 //! Determinism contract under chaos: the injector poisons requests as a
 //! pure function of `(seed, job)`, so exactly the poisoned set resolves
@@ -15,10 +16,10 @@ use std::time::Duration;
 use fnr_par::width_test_guard as width_guard;
 use fnr_serve::workload::{generate, ArrivalPattern, TimedJob, WorkloadSpec};
 use fnr_serve::{
-    response_set_digest, run, run_open_loop, run_virtual_with_faults, BreakerConfig,
-    BrownoutConfig, FaultInjector, Priority, RenderJob, RenderPrecision, Response, RetryPolicy,
-    SceneKind, Server, ServerConfig, SubmitError, SuperviseConfig, VirtualService, WaitOutcome,
-    Workload,
+    response_set_digest, run, run_cluster, run_open_loop, run_virtual, BreakerConfig,
+    BrownoutConfig, ClusterConfig, FaultInjector, Priority, RenderJob, RenderPrecision, Response,
+    RetryPolicy, SceneKind, Server, ServerConfig, SubmitError, SuperviseConfig, VirtualService,
+    WaitOutcome, Workload,
 };
 
 fn chaos_spec(requests: usize, seed: u64) -> WorkloadSpec {
@@ -136,9 +137,9 @@ fn chaos_digest_is_width_invariant_and_agrees_between_live_and_virtual() {
 
     let service = VirtualService { service_ns: 200_000, per_item_ns: 0 };
     fnr_par::set_num_threads(1);
-    let serial = run_virtual_with_faults(&cfg, &jobs, service, cfg.injector);
+    let serial = run_virtual(&cfg, &jobs, service);
     fnr_par::set_num_threads(4);
-    let parallel = run_virtual_with_faults(&cfg, &jobs, service, cfg.injector);
+    let parallel = run_virtual(&cfg, &jobs, service);
     let live = run_open_loop(&cfg, &jobs);
     fnr_par::set_num_threads(1);
 
@@ -285,6 +286,33 @@ fn brownout_degrades_standard_renders_but_never_interactive() {
     assert_eq!(bytes.0, reference.1, "Standard under brownout must render at int16");
     assert_eq!(bytes.1, reference.0, "Interactive under brownout must stay at fp32");
     assert_ne!(reference.0, reference.1, "the precision step must actually move bytes");
+}
+
+/// Differential: the brownout is part of the dispatch core every mode
+/// runs, so an always-engaged brownout over a seeded bursty workload
+/// downgrades the same requests live, virtual and in the cluster — equal
+/// response digests, and equal per-lane `degraded` counts live and
+/// virtual.
+#[test]
+fn brownout_downgrades_identically_live_virtual_and_cluster() {
+    let jobs = generate(&chaos_spec(200, 42));
+    let cfg = ServerConfig {
+        brownout: BrownoutConfig { enabled: true, engage_depth: 0, release_depth: 0 },
+        ..chaos_cfg(None, RetryPolicy::default())
+    };
+    let live = run_open_loop(&cfg, &jobs);
+    let virt = run_virtual(&cfg, &jobs, VirtualService::default());
+    let cluster_cfg = ClusterConfig { server: cfg.clone(), ..ClusterConfig::default() };
+    let cluster = run_cluster(&cluster_cfg, &jobs);
+
+    assert!(live.metrics.degraded > 0, "an always-engaged brownout must downgrade something");
+    assert_eq!(live.responses.len(), 200, "brownout downgrades, it never drops");
+    assert_eq!(virt.metrics.digest, live.metrics.digest, "virtual digest != live digest");
+    assert_eq!(cluster.metrics.digest, live.metrics.digest, "cluster digest != live digest");
+    let degraded =
+        |m: &fnr_serve::ServeMetrics| m.lanes.iter().map(|l| l.degraded).collect::<Vec<_>>();
+    assert_eq!(degraded(&virt.metrics), degraded(&live.metrics), "per-lane degraded counts");
+    assert_eq!(live.metrics.lanes[0].degraded, 0, "interactive is never degraded");
 }
 
 /// Exhausting the restart budget must fail pending work loudly — never
