@@ -1,6 +1,10 @@
 //! Deterministic cluster discrete-event simulation: N replica serving
 //! pipelines behind a seeded consistent-hash front door, with fault
-//! injection, on one shared virtual clock.
+//! injection, on one shared virtual clock. This is the crate's one
+//! discrete-event driver: [`crate::run_virtual`] is this simulator with
+//! one fault-free replica, an unbounded front door and a free model
+//! cache, so the two cannot drift apart (`tests/serve_equivalence.rs`
+//! pins the equality anyway).
 //!
 //! Each replica is a full [`VirtualPipeline`] — its own lanes,
 //! weighted-deficit scheduler, batcher, virtual workers and modeled
@@ -14,14 +18,12 @@
 //! replica restarts with a cold cache.
 //!
 //! Everything that *decides* — routing, admission, scheduling, batching,
-//! cache hits, fault handling — runs single-threaded in event order, so
-//! for a fixed schedule and fault plan the cluster digest, per-replica
-//! counters, cache ratios and latency histograms are byte-identical at
-//! any `FNR_THREADS`; the decided batches then render for real over
-//! `fnr_par` (or produce tiny synthetic hash payloads for
-//! million-request runs). This extends the single-server `run_virtual`
-//! equivalence methodology to a cluster; `--replicas 1` with no faults
-//! reproduces `run_virtual` exactly (pinned in `tests/serve_equivalence.rs`).
+//! cache hits, fault handling — runs single-threaded in event order
+//! (`simulate`), so for a fixed schedule and fault plan the cluster
+//! digest, per-replica counters, cache ratios and latency histograms are
+//! byte-identical at any `FNR_THREADS`; the decided batches then render
+//! for real over `fnr_par` (or produce tiny synthetic hash payloads for
+//! million-request runs) and reassemble into whole responses.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,12 +32,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultInjector;
 use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig};
-use crate::metrics::{
-    ClusterMetrics, FrontDoorTotals, Ledger, ReplicaStats, RobustTotals, ServeMetrics, Terminal,
-};
+use crate::metrics::{ClusterMetrics, LatencyHistogram, Ledger, ReplicaStats, ServeMetrics, Terminal};
 use crate::request::{
-    assemble_chunks, effective_chunks, response_set_digest, synthetic_chunk_payload, ChunkResponse,
-    ChunkSpan, Request, Response,
+    assemble_chunks, effective_chunks, payload_set_digest, response_set_digest,
+    synthetic_chunk_payload, ChunkResponse, ChunkSpan, Request, Response,
 };
 use crate::router::{HashRing, RouterConfig};
 use crate::server::{execute_batch, ServerConfig};
@@ -397,28 +397,78 @@ struct Tracked {
     /// Whether any copy has started service — a started chunk is not
     /// worth hedging, the work is already running.
     started: bool,
-    /// Whether a hedge clone was placed (each chunk hedges at most
-    /// once; `hedged == hedge_won + hedge_wasted` is an invariant).
-    hedged: bool,
-    /// The hedge clone's replica, if placed.
+    /// The hedge clone's replica, if one was placed (each chunk hedges at
+    /// most once; `hedged == hedge_won + hedge_wasted` is an invariant).
     clone_replica: Option<usize>,
 }
 
-/// The mutable cluster state the event loop advances.
-struct ClusterState<'c> {
+/// One replica: its pipeline plus everything the cluster layer counts
+/// about it.
+pub(crate) struct Replica {
+    pub(crate) pipe: VirtualPipeline,
+    life: Life,
+    /// Whether the replica currently owns ring points (a leave removes
+    /// them, a restart-after-leave adds them back).
+    in_ring: bool,
+    routed: usize,
+    failed_over_out: usize,
+    failed_over_in: usize,
+    kills: usize,
+    restarts: usize,
+    suspects: usize,
+}
+
+impl Replica {
+    /// A cold replica at nominal speed, in the ring.
+    fn new(cfg: &ClusterConfig, track: bool) -> Self {
+        Replica {
+            pipe: VirtualPipeline::new(
+                &cfg.server,
+                cfg.service,
+                cfg.injector.or(cfg.server.injector),
+                track,
+            ),
+            life: Life::Up,
+            in_ring: true,
+            routed: 0,
+            failed_over_out: 0,
+            failed_over_in: 0,
+            kills: 0,
+            restarts: 0,
+            suspects: 0,
+        }
+    }
+
+    /// This replica's report, around its folded pipeline `metrics`.
+    fn stats(&self, replica: usize, metrics: ServeMetrics) -> ReplicaStats {
+        let (cache_hits, cache_misses) = self.pipe.cache_stats();
+        ReplicaStats {
+            replica,
+            alive: self.life != Life::Down,
+            kills: self.kills,
+            restarts: self.restarts,
+            routed: self.routed,
+            failed_over_out: self.failed_over_out,
+            failed_over_in: self.failed_over_in,
+            cache_hits,
+            cache_misses,
+            busy_ns: self.pipe.busy_ns,
+            suspects: self.suspects,
+            slow_factor: self.pipe.slow_factor(),
+            departed: matches!(self.life, Life::Draining | Life::Departed),
+            metrics,
+        }
+    }
+}
+
+/// The mutable cluster state the event loop advances — once [`simulate`]
+/// returns, the decided run.
+pub(crate) struct ClusterState<'c> {
     cfg: &'c ClusterConfig,
     ring: HashRing,
-    pipes: Vec<VirtualPipeline>,
-    life: Vec<Life>,
-    /// Whether each replica currently owns ring points (a leave removes
-    /// them, a restart-after-leave or join adds them back).
-    in_ring: Vec<bool>,
-    routed: Vec<usize>,
-    failed_over_out: Vec<usize>,
-    failed_over_in: Vec<usize>,
-    kills: Vec<usize>,
-    restarts: Vec<usize>,
-    suspects: Vec<usize>,
+    pub(crate) replicas: Vec<Replica>,
+    /// Chunk units across the submitted schedule.
+    submitted_chunks: usize,
     front_door_shed: usize,
     overload_shed: usize,
     hedged: usize,
@@ -443,57 +493,25 @@ struct ClusterState<'c> {
     hedge_timers: VecDeque<(u64, (u64, u32))>,
     /// Index of the next unapplied fault in the sorted plan.
     next_fault: usize,
-    /// Virtual time of the last event that touched a pipeline.
+    /// Virtual time of the last event that touched a pipeline; after the
+    /// drain, the run's wall clock.
     last_event_ns: u64,
-}
-
-/// Builds one replica pipeline for `cfg` (cold cache, nominal speed).
-fn new_pipe(cfg: &ClusterConfig, track: bool) -> VirtualPipeline {
-    let mut pipe = VirtualPipeline::new(
-        &cfg.server,
-        cfg.service.service_ns,
-        cfg.service.cold_start_ns,
-        true,
-        cfg.injector.or(cfg.server.injector),
-    );
-    pipe.set_per_item_ns(cfg.service.per_item_ns);
-    if track {
-        pipe.enable_event_tracking();
-    }
-    pipe
 }
 
 impl<'c> ClusterState<'c> {
     /// Whether the front door may send work to replica `r` at all.
     fn routable(&self, r: usize) -> bool {
-        self.life[r] == Life::Up && self.pipes[r].inflight() < self.cfg.max_inflight
+        let rep = &self.replicas[r];
+        rep.life == Life::Up && rep.pipe.inflight() < self.cfg.max_inflight
     }
 
-    /// Picks the replica for `key_hash`, walking the ring clockwise.
-    /// With the failure detector on this is a three-pass preference:
-    /// Healthy replicas first, then Suspect, then anything routable —
-    /// gray failures lose traffic without ever making the cluster
-    /// refuse work it could still do.
-    fn pick(&self, key_hash: u64, now: u64) -> Option<usize> {
-        if !self.health.enabled() {
-            return self.ring.route(key_hash, |r| self.routable(r));
-        }
-        self.ring
-            .route(key_hash, |r| {
-                self.routable(r) && self.health.state(r, now) == HealthState::Healthy
-            })
-            .or_else(|| {
-                self.ring.route(key_hash, |r| {
-                    self.routable(r) && self.health.state(r, now) < HealthState::Dead
-                })
-            })
-            .or_else(|| self.ring.route(key_hash, |r| self.routable(r)))
-    }
-
-    /// Picks a hedge target for `key_hash`: the same three-pass walk,
-    /// excluding the primary copy's replica.
-    fn pick_hedge(&self, key_hash: u64, now: u64, primary: usize) -> Option<usize> {
-        let ok = |r: usize| r != primary && self.routable(r);
+    /// Picks the replica for `key_hash`, walking the ring clockwise and
+    /// skipping `exclude` (a hedge's primary). With the failure detector
+    /// on this is a three-pass preference: Healthy replicas first, then
+    /// Suspect, then anything routable — gray failures lose traffic
+    /// without ever making the cluster refuse work it could still do.
+    fn pick(&self, key_hash: u64, now: u64, exclude: Option<usize>) -> Option<usize> {
+        let ok = |r: usize| Some(r) != exclude && self.routable(r);
         if !self.health.enabled() {
             return self.ring.route(key_hash, ok);
         }
@@ -510,7 +528,7 @@ impl<'c> ClusterState<'c> {
     /// door drop or lane-full reject on failover): close its book.
     fn settle_terminal(&mut self, key: (u64, u32)) {
         if let Some(tr) = self.tracked.remove(&key) {
-            if tr.hedged {
+            if tr.clone_replica.is_some() {
                 self.hedge_wasted += 1;
             }
         }
@@ -525,13 +543,13 @@ impl<'c> ClusterState<'c> {
         let key = (req.id, req.chunk.index);
         let chunk = req.chunk;
         let key_hash = HashRing::key_hash(&req.job.key());
-        match self.pick(key_hash, t) {
+        match self.pick(key_hash, t, None) {
             Some(r) => {
-                if self.pipes[r].admit_request(req, t) {
-                    self.failed_over_in[r] += 1;
-                    self.failed_over_out[from] += 1;
+                if self.replicas[r].pipe.admit_request(req, t) {
+                    self.replicas[r].failed_over_in += 1;
+                    self.replicas[from].failed_over_out += 1;
                     if self.hedging {
-                        self.pipes[r].mark_hedged(key.0, chunk.index);
+                        self.replicas[r].pipe.mark_hedged(key.0, chunk.index);
                         if let Some(tr) = self.tracked.get_mut(&key) {
                             tr.copies.retain(|&c| c != from);
                             tr.copies.push(r);
@@ -565,7 +583,7 @@ impl<'c> ClusterState<'c> {
         if !tr.copies.is_empty() {
             return;
         }
-        self.pipes[r].ledger.record(terminal);
+        self.replicas[r].pipe.ledger.record(terminal);
         self.settle_terminal(key);
     }
 
@@ -579,7 +597,7 @@ impl<'c> ClusterState<'c> {
         if !self.track {
             return;
         }
-        let events = self.pipes[r].take_events();
+        let events = self.replicas[r].pipe.take_events();
         let mut progressed = false;
         for ev in events {
             match ev {
@@ -595,14 +613,12 @@ impl<'c> ClusterState<'c> {
                         for &other in tr.copies.iter().filter(|&&c| c != r) {
                             // The losing copy is pulled from its queue,
                             // or suppressed if already in service.
-                            self.pipes[other].cancel(id, tr.req.chunk);
+                            self.replicas[other].pipe.cancel(id, tr.req.chunk);
                         }
-                        if tr.hedged {
-                            if Some(r) == tr.clone_replica {
-                                self.hedge_won += 1;
-                            } else {
-                                self.hedge_wasted += 1;
-                            }
+                        match tr.clone_replica {
+                            Some(clone) if clone == r => self.hedge_won += 1,
+                            Some(_) => self.hedge_wasted += 1,
+                            None => {}
                         }
                     }
                 }
@@ -611,7 +627,7 @@ impl<'c> ClusterState<'c> {
                 }
             }
         }
-        self.health.observe(r, self.pipes[r].is_busy(), progressed, t);
+        self.health.observe(r, self.replicas[r].pipe.is_busy(), progressed, t);
     }
 
     /// Places a hedge clone for the tracked chunk `key` if it is still
@@ -624,20 +640,19 @@ impl<'c> ClusterState<'c> {
         }
         let primary = tr.copies[0];
         let key_hash = HashRing::key_hash(&tr.req.job.key());
-        let Some(r2) = self.pick_hedge(key_hash, t, primary) else { return false };
+        let Some(r2) = self.pick(key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
-        if !self.pipes[r2].admit_hedge(req, t) {
+        if !self.replicas[r2].pipe.admit_hedge(req, t) {
             // No lane room on the alternate: the clone never existed.
             return false;
         }
-        self.pipes[r2].mark_hedged(key.0, key.1);
+        self.replicas[r2].pipe.mark_hedged(key.0, key.1);
         let tr = self.tracked.get_mut(&key).expect("still tracked");
-        tr.hedged = true;
         tr.clone_replica = Some(r2);
         tr.copies.push(r2);
         self.hedged += 1;
         self.last_event_ns = self.last_event_ns.max(t);
-        self.pipes[r2].pump(t);
+        self.replicas[r2].pipe.pump(t);
         self.drain_events(r2, t);
         true
     }
@@ -668,10 +683,10 @@ impl<'c> ClusterState<'c> {
         if !self.health.enabled() {
             return;
         }
-        for r in 0..self.pipes.len() {
+        for r in 0..self.replicas.len() {
             if let Some((old, new)) = self.health.refresh(r, t) {
                 if old == HealthState::Healthy && new >= HealthState::Suspect {
-                    self.suspects[r] += 1;
+                    self.replicas[r].suspects += 1;
                     if self.hedging {
                         self.hedge_suspect_replica(r, t);
                     }
@@ -686,9 +701,9 @@ impl<'c> ClusterState<'c> {
         if self.draining == 0 {
             return;
         }
-        for r in 0..self.pipes.len() {
-            if self.life[r] == Life::Draining && !self.pipes[r].has_pending() {
-                self.life[r] = Life::Departed;
+        for rep in &mut self.replicas {
+            if rep.life == Life::Draining && !rep.pipe.has_pending() {
+                rep.life = Life::Departed;
                 self.draining -= 1;
             }
         }
@@ -698,19 +713,11 @@ impl<'c> ClusterState<'c> {
     fn apply_fault(&mut self, ev: FaultEvent) {
         if matches!(ev.kind, FaultKind::Join) {
             // Scale-out: a brand-new replica at the next index, cold.
-            if self.pipes.len() >= crate::router::MAX_REPLICAS {
+            if self.replicas.len() >= crate::router::MAX_REPLICAS {
                 return;
             }
-            let r = self.pipes.len();
-            self.pipes.push(new_pipe(self.cfg, self.track));
-            self.life.push(Life::Up);
-            self.in_ring.push(true);
-            self.routed.push(0);
-            self.failed_over_out.push(0);
-            self.failed_over_in.push(0);
-            self.kills.push(0);
-            self.restarts.push(0);
-            self.suspects.push(0);
+            let r = self.replicas.len();
+            self.replicas.push(Replica::new(self.cfg, self.track));
             self.ring.join(r).expect("index capacity checked above");
             self.health.push_replica(ev.at_ns);
             self.codel.push_replica();
@@ -719,18 +726,18 @@ impl<'c> ClusterState<'c> {
             return;
         }
         let r = ev.replica;
-        if r >= self.pipes.len() {
+        let Some(rep) = self.replicas.get_mut(r) else {
             return; // plan may name more replicas than the cluster has
-        }
+        };
         match ev.kind {
-            FaultKind::Kill if self.life[r] != Life::Down => {
-                if self.life[r] == Life::Draining {
+            FaultKind::Kill if rep.life != Life::Down => {
+                if rep.life == Life::Draining {
                     self.draining -= 1;
                 }
-                self.life[r] = Life::Down;
-                self.kills[r] += 1;
+                rep.life = Life::Down;
+                rep.kills += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
-                for req in self.pipes[r].kill(ev.at_ns) {
+                for req in rep.pipe.kill(ev.at_ns) {
                     if self.hedging {
                         if let Some(tr) = self.tracked.get_mut(&(req.id, req.chunk.index)) {
                             if tr.copies.len() > 1 {
@@ -744,29 +751,29 @@ impl<'c> ClusterState<'c> {
                     self.reroute(req, ev.at_ns, r);
                 }
             }
-            FaultKind::Restart if matches!(self.life[r], Life::Down | Life::Departed) => {
+            FaultKind::Restart if matches!(rep.life, Life::Down | Life::Departed) => {
                 // The pipeline was reset at kill time (or drained dry by
                 // a leave); it comes back empty with a cold cache, and
                 // rejoins the ring if it had left it.
-                self.life[r] = Life::Up;
-                self.restarts[r] += 1;
-                if !self.in_ring[r] {
+                rep.life = Life::Up;
+                rep.restarts += 1;
+                if !rep.in_ring {
+                    rep.in_ring = true;
                     self.ring.join(r).expect("index was a member before");
-                    self.in_ring[r] = true;
                 }
             }
             FaultKind::Slow { factor } => {
-                self.pipes[r].set_slow_factor(factor);
+                rep.pipe.set_slow_factor(factor);
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
             }
-            FaultKind::Leave if self.life[r] == Life::Up => {
-                self.life[r] = Life::Draining;
+            FaultKind::Leave if rep.life == Life::Up => {
+                rep.life = Life::Draining;
                 self.draining += 1;
                 self.leaves += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
-                if self.in_ring[r] {
+                if rep.in_ring {
+                    rep.in_ring = false;
                     self.ring.leave(r).expect("was a member");
-                    self.in_ring[r] = false;
                 }
             }
             _ => {} // kill of a dead replica / restart of a live one: no-op
@@ -781,9 +788,9 @@ impl<'c> ClusterState<'c> {
         let mut now = now;
         loop {
             let pipe_next = self
-                .pipes
+                .replicas
                 .iter()
-                .filter_map(|p| p.next_event(now))
+                .filter_map(|rep| rep.pipe.next_event(now))
                 .min()
                 .filter(|&t| t <= target);
             let fault_next = self
@@ -813,9 +820,9 @@ impl<'c> ClusterState<'c> {
                 }
                 // Failover re-admissions (and survivors) pump at the
                 // fault instant, in replica-index order.
-                for i in 0..self.pipes.len() {
-                    if self.life[i] != Life::Down {
-                        self.pipes[i].pump(t);
+                for i in 0..self.replicas.len() {
+                    if self.replicas[i].life != Life::Down {
+                        self.replicas[i].pipe.pump(t);
                         self.drain_events(i, t);
                     }
                 }
@@ -824,9 +831,9 @@ impl<'c> ClusterState<'c> {
                 // order, draining events after each so a completion on a
                 // lower-index replica cancels its hedge twin before that
                 // twin's own tick runs — the tie-break is deterministic.
-                for i in 0..self.pipes.len() {
-                    if self.pipes[i].next_event(now) == Some(t) {
-                        self.pipes[i].fire(t);
+                for i in 0..self.replicas.len() {
+                    if self.replicas[i].pipe.next_event(now) == Some(t) {
+                        self.replicas[i].pipe.fire(t);
                         self.drain_events(i, t);
                     }
                 }
@@ -858,28 +865,60 @@ impl<'c> ClusterState<'c> {
             target.max(now)
         }
     }
+
+    /// Each replica's served chunk payloads, rendered from its decided
+    /// batches. Per replica the batches fan out over `fnr_par`, so thread
+    /// width moves wall time only.
+    pub(crate) fn render(&self) -> Vec<Vec<ChunkResponse>> {
+        let cfg = self.cfg;
+        self.replicas
+            .iter()
+            .map(|rep| {
+                let decided = &rep.pipe.decided;
+                let nested: Vec<Vec<ChunkResponse>> = match cfg.payload {
+                    PayloadMode::Render => fnr_par::par_map(decided, |batch| {
+                        execute_batch(batch, &cfg.server.tables)
+                    }),
+                    PayloadMode::Synthetic => fnr_par::par_map(decided, |batch| {
+                        batch
+                            .requests
+                            .iter()
+                            .map(|req| ChunkResponse {
+                                id: req.id,
+                                chunk: req.chunk,
+                                bytes: synthetic_chunk_payload(&req.job, req.chunk),
+                            })
+                            .collect()
+                    }),
+                };
+                nested.into_iter().flatten().collect()
+            })
+            .collect()
+    }
 }
 
-/// Replays `jobs` through an N-replica cluster on the virtual clock and
-/// renders the decided batches. See the module docs for the model; see
-/// [`ClusterMetrics::conserves_submitted`] for the accounting law the
-/// result is guaranteed (and asserted) to satisfy.
-pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
+/// The decision loop [`run_cluster`] and [`crate::run_virtual`] share:
+/// replays `jobs` through the cluster on the virtual clock, single-threaded
+/// and in trace order, to quiescence. A job splits into its row-band
+/// chunks at the front door; all chunks of one arrival share one routing
+/// decision (same coalescing key, same replica — scene affinity would
+/// pick the same target anyway), and the front-door counters account in
+/// chunk units.
+///
+/// # Panics
+///
+/// Panics on a malformed `SchedConfig`, or — naming every term — unless
+/// each submitted chunk unit terminated exactly once and every hedge was
+/// either won or wasted.
+pub(crate) fn simulate<'c>(cfg: &'c ClusterConfig, jobs: &[TimedJob]) -> ClusterState<'c> {
     cfg.server.sched.validate();
     let replicas = cfg.replicas.max(1);
     let hedging = cfg.hedge.enabled();
     let track = hedging || cfg.health.enabled || cfg.admission.enabled;
     let mut state = ClusterState {
         ring: HashRing::new(replicas, &cfg.router),
-        pipes: (0..replicas).map(|_| new_pipe(cfg, track)).collect(),
-        life: vec![Life::Up; replicas],
-        in_ring: vec![true; replicas],
-        routed: vec![0; replicas],
-        failed_over_out: vec![0; replicas],
-        failed_over_in: vec![0; replicas],
-        kills: vec![0; replicas],
-        restarts: vec![0; replicas],
-        suspects: vec![0; replicas],
+        replicas: (0..replicas).map(|_| Replica::new(cfg, track)).collect(),
+        submitted_chunks: 0,
         front_door_shed: 0,
         overload_shed: 0,
         hedged: 0,
@@ -898,135 +937,103 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         last_event_ns: 0,
         cfg,
     };
-
-    // The decision loop: single-threaded, in trace order. A job splits
-    // into its row-band chunks at the front door; all chunks of one
-    // arrival share one routing decision (same coalescing key, same
-    // replica — scene affinity would pick the same target anyway), and
-    // the front-door counters account in chunk units.
     let mut now = 0u64;
-    let mut submitted_chunks = 0usize;
     for (id, tj) in jobs.iter().enumerate() {
         let at = now + tj.delay_before.as_nanos() as u64;
         now = state.process_until(at, now);
         state.last_event_ns = state.last_event_ns.max(at);
         state.refresh_health(at);
         let of = effective_chunks(cfg.server.chunks, &tj.job);
-        submitted_chunks += of as usize;
+        state.submitted_chunks += of as usize;
         let key_hash = HashRing::key_hash(&tj.job.key());
-        match state.pick(key_hash, at) {
-            Some(r) => {
-                if state.codel.should_shed(r, tj.priority) {
-                    // Overload admission: shed Batch-class work early at
-                    // the front door instead of letting every class miss
-                    // its deadline behind a standing queue. The whole
-                    // arrival drops — all of its chunk units.
-                    state.front_door_shed += of as usize;
-                    state.overload_shed += of as usize;
-                    continue;
-                }
-                state.routed[r] += 1;
-                for index in 0..of {
-                    let rid = id as u64;
-                    let req = arrival(rid, at, tj, ChunkSpan { index, of });
-                    if !hedging {
-                        state.pipes[r].admit_request(req, at);
-                    } else if state.pipes[r].admit_request(req.clone(), at) {
-                        state.pipes[r].mark_hedged(rid, index);
-                        state.tracked.insert(
-                            (rid, index),
-                            Tracked {
-                                req,
-                                copies: vec![r],
-                                started: false,
-                                hedged: false,
-                                clone_replica: None,
-                            },
-                        );
-                        state
-                            .hedge_timers
-                            .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
-                    }
-                }
-                state.pipes[r].pump(at);
-                state.drain_events(r, at);
-            }
-            None => state.front_door_shed += of as usize,
+        let Some(r) = state.pick(key_hash, at, None) else {
+            state.front_door_shed += of as usize;
+            continue;
+        };
+        if state.codel.should_shed(r, tj.priority) {
+            // Overload admission: shed Batch-class work early at the
+            // front door instead of letting every class miss its
+            // deadline behind a standing queue. The whole arrival drops
+            // — all of its chunk units.
+            state.front_door_shed += of as usize;
+            state.overload_shed += of as usize;
+            continue;
         }
+        state.replicas[r].routed += 1;
+        for index in 0..of {
+            let rid = id as u64;
+            let req = arrival(rid, at, tj, ChunkSpan { index, of });
+            let pipe = &mut state.replicas[r].pipe;
+            if !hedging {
+                pipe.admit_request(req, at);
+            } else if pipe.admit_request(req.clone(), at) {
+                pipe.mark_hedged(rid, index);
+                let tracked = Tracked { req, copies: vec![r], started: false, clone_replica: None };
+                state.tracked.insert((rid, index), tracked);
+                state.hedge_timers.push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
+            }
+        }
+        state.replicas[r].pipe.pump(at);
+        state.drain_events(r, at);
     }
     // Drain: remaining timers, faults and hedge deadlines, to quiescence.
     let end = state.process_until(u64::MAX, now);
-    let wall_ns = state.last_event_ns.max(end);
-    for pipe in &mut state.pipes {
-        pipe.finalize(wall_ns);
+    state.last_event_ns = state.last_event_ns.max(end);
+    for rep in &mut state.replicas {
+        rep.pipe.finalize(state.last_event_ns);
     }
     debug_assert!(state.tracked.is_empty(), "every tracked request must settle by drain");
+    Ledger::assert_conserved(
+        state.replicas.iter().map(|rep| &rep.pipe.ledger),
+        state.front_door_shed,
+        state.submitted_chunks,
+    );
+    assert!(
+        state.hedged == state.hedge_won + state.hedge_wasted,
+        "hedge accounting violated: hedged {} != won {} + wasted {}",
+        state.hedged,
+        state.hedge_won,
+        state.hedge_wasted
+    );
+    state
+}
 
-    // Decisions locked in — produce payloads. Per replica, fan the
-    // decided batches out over `fnr_par`; thread width moves wall time
-    // only. Replicas serve *chunks*; whole responses are reassembled
-    // across the fleet afterwards (a failover can scatter one request's
-    // chunks over several replicas).
-    let threads = fnr_par::current_num_threads();
+/// Replays `jobs` through an N-replica cluster on the virtual clock and
+/// renders the decided batches. See the module docs for the model; see
+/// [`ClusterMetrics::conserves_submitted`] for the accounting law the
+/// result is guaranteed (and asserted) to satisfy.
+pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
+    let state = simulate(cfg, jobs);
+    let chunks = state.render();
     let workers = cfg.server.workers.max(1);
-    let mut all_chunks: Vec<ChunkResponse> = Vec::new();
-    let mut replica_stats: Vec<ReplicaStats> = Vec::new();
-    for (i, pipe) in state.pipes.iter().enumerate() {
-        let nested: Vec<Vec<ChunkResponse>> = match cfg.payload {
-            PayloadMode::Render => {
-                fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.server.tables))
-            }
-            PayloadMode::Synthetic => fnr_par::par_map(&pipe.decided, |batch| {
-                batch
-                    .requests
-                    .iter()
-                    .map(|req| ChunkResponse {
-                        id: req.id,
-                        chunk: req.chunk,
-                        bytes: synthetic_chunk_payload(&req.job, req.chunk),
-                    })
-                    .collect()
-            }),
-        };
-        let mut chunks: Vec<ChunkResponse> = nested.into_iter().flatten().collect();
-        chunks.sort_unstable_by_key(|c| (c.id, c.chunk.index));
-        // The per-replica digest is over the chunk payloads this replica
-        // served (identical to the response set at chunk count 1).
-        let responses: Vec<Response> =
-            chunks.iter().map(|c| Response { id: c.id, bytes: c.bytes.clone() }).collect();
-        let metrics = ServeMetrics::aggregate(
-            &pipe.ledger,
-            &responses,
-            RobustTotals::default(),
-            pipe.wall_ns,
-            workers,
-        );
-        let (cache_hits, cache_misses) = pipe.cache_stats();
-        replica_stats.push(ReplicaStats {
-            replica: i,
-            alive: state.life[i] != Life::Down,
-            kills: state.kills[i],
-            restarts: state.restarts[i],
-            routed: state.routed[i],
-            failed_over_out: state.failed_over_out[i],
-            failed_over_in: state.failed_over_in[i],
-            cache_hits,
-            cache_misses,
-            busy_ns: pipe.busy_ns,
-            suspects: state.suspects[i],
-            slow_factor: pipe.slow_factor(),
-            departed: matches!(state.life[i], Life::Draining | Life::Departed),
-            metrics,
-        });
-        all_chunks.extend(chunks);
-    }
-    // Cross-fleet reassembly: only parents whose every chunk was served
-    // somewhere become responses; the digest is over those whole
-    // responses, byte-identical to the unchunked digest at any chunk
-    // count.
-    let all_responses = assemble_chunks(all_chunks);
-    let digest = response_set_digest(&all_responses);
-    let front_door = FrontDoorTotals {
+    // Per replica, the digest is over the chunk payloads it served
+    // (identical to its response set at chunk count 1).
+    let replicas: Vec<ReplicaStats> = state
+        .replicas
+        .iter()
+        .zip(&chunks)
+        .enumerate()
+        .map(|(i, (rep, served))| {
+            let digest = payload_set_digest(served.iter().map(|c| c.bytes.as_slice()));
+            let metrics = ServeMetrics::aggregate(&rep.pipe.ledger, digest, rep.pipe.wall_ns, workers);
+            rep.stats(i, metrics)
+        })
+        .collect();
+    // Cross-fleet reassembly (a failover can scatter one request's chunks
+    // over several replicas): only parents whose every chunk was served
+    // somewhere become responses, so the digest is byte-identical to the
+    // unchunked digest at any chunk count.
+    let responses = assemble_chunks(chunks.into_iter().flatten().collect());
+    let sum = |f: fn(&ReplicaStats) -> usize| -> usize { replicas.iter().map(f).sum() };
+    let merged = |f: fn(&ServeMetrics) -> &LatencyHistogram| {
+        replicas.iter().fold(LatencyHistogram::new(), |h, r| h.merge(f(&r.metrics)))
+    };
+    let metrics = ClusterMetrics {
+        submitted: jobs.len(),
+        submitted_chunks: state.submitted_chunks,
+        served: sum(|r| r.metrics.chunks_served),
+        completed: responses.len(),
+        shed: sum(|r| r.metrics.shed),
         front_door_shed: state.front_door_shed,
         overload_shed: state.overload_shed,
         hedged: state.hedged,
@@ -1034,31 +1041,22 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         hedge_wasted: state.hedge_wasted,
         joins: state.joins,
         leaves: state.leaves,
+        suspects: sum(|r| r.suspects),
+        expired: sum(|r| r.metrics.expired),
+        rejected: sum(|r| r.metrics.rejected),
+        failed: sum(|r| r.metrics.failed),
+        failed_over: sum(|r| r.failed_over_in),
+        kills: sum(|r| r.kills),
+        restarts: sum(|r| r.restarts),
+        latency_hist: merged(|m| &m.latency_hist),
+        first_chunk_hist: merged(|m| &m.first_chunk_hist),
+        wall_ns: state.last_event_ns,
+        workers_per_replica: workers,
+        threads: fnr_par::current_num_threads(),
+        digest: response_set_digest(&responses),
+        replicas,
     };
-    let metrics = ClusterMetrics::aggregate(
-        replica_stats,
-        jobs.len(),
-        submitted_chunks,
-        all_responses.len(),
-        front_door,
-        wall_ns,
-        workers,
-        threads,
-        digest,
-    );
-    Ledger::assert_conserved(
-        state.pipes.iter().map(|p| &p.ledger),
-        state.front_door_shed,
-        submitted_chunks,
-    );
-    assert!(
-        metrics.hedged == metrics.hedge_won + metrics.hedge_wasted,
-        "hedge accounting violated: hedged {} != won {} + wasted {}",
-        metrics.hedged,
-        metrics.hedge_won,
-        metrics.hedge_wasted
-    );
-    ClusterReport { responses: all_responses, metrics }
+    ClusterReport { responses, metrics }
 }
 
 #[cfg(test)]

@@ -1,18 +1,21 @@
 //! Load generators: open-loop (arrival-timed) and closed-loop (response-
 //! gated) drivers over a generated workload schedule, plus the
 //! deterministic **virtual-clock harness** ([`run_virtual`]) that replays
-//! a schedule against the scheduling layer without real time.
+//! a schedule against the scheduling layer without real time. The
+//! harness is the one-replica, fault-free cluster simulator by
+//! construction: it runs [`crate::cluster`]'s decision loop, not one of
+//! its own.
 
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::{Ledger, RobustTotals, ServeMetrics};
-use crate::request::{assemble_chunks, effective_chunks, ChunkResponse, ChunkSpan, Response};
-use crate::server::{execute_batch, run, ServeReport, ServerConfig, WaitOutcome};
-use crate::vclock::{arrival, VirtualPipeline};
-use crate::workload::{total_chunks, TimedJob};
+use crate::cluster::{simulate, ClusterConfig, ClusterService};
+use crate::metrics::ServeMetrics;
+use crate::request::{assemble_chunks, response_set_digest};
+use crate::server::{run, ServeReport, ServerConfig, WaitOutcome};
+use crate::workload::TimedJob;
 
 /// How long a closed-loop client "thinks" between receiving a response and
 /// submitting its next request. `None` reproduces the pure soak shape
@@ -160,6 +163,13 @@ impl Default for VirtualService {
 /// server runs. The decided batches are then rendered for real (fanning
 /// out over `fnr_par`), so payload bytes are the production ones.
 ///
+/// This *is* [`run_cluster`](crate::run_cluster) with one fault-free
+/// replica, an unbounded front door and a free model cache, by
+/// construction: the cluster's decision loop, rendering and reassembly
+/// run unchanged, and only the fold differs — the report is replica 0's
+/// ledger over the reassembled responses, with none of the cluster-only
+/// per-replica bookkeeping.
+///
 /// This is the deterministic scheduling harness: for a fixed schedule the
 /// response-set digest, the per-lane served/shed/expired/rejected
 /// counters, the queue-latency histograms and the virtual wall clock are
@@ -185,37 +195,22 @@ impl Default for VirtualService {
 /// Panics on a malformed `SchedConfig`, or — naming every term — if the
 /// run does not account for each submitted chunk unit exactly once.
 pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualService) -> ServeReport {
-    cfg.sched.validate();
-    let mut pipe = VirtualPipeline::new(cfg, service.service_ns, 0, false, cfg.injector);
-    pipe.set_per_item_ns(service.per_item_ns);
-    let mut now = 0u64;
-    for (id, tj) in jobs.iter().enumerate() {
-        let at = now + tj.delay_before.as_nanos() as u64;
-        pipe.advance_to(&mut now, at);
-        let of = effective_chunks(cfg.chunks, &tj.job);
-        for index in 0..of {
-            pipe.admit_request(arrival(id as u64, at, tj, ChunkSpan { index, of }), at);
-        }
-        pipe.pump(at);
-    }
-    pipe.drain(&mut now);
-    Ledger::assert_conserved([&pipe.ledger], 0, total_chunks(jobs, cfg.chunks));
-
-    // Decisions are locked in; now render them for real. The fan-out is
-    // pure per-batch work, so `FNR_THREADS` moves wall time only. Chunks
-    // of the same parent may have ridden different batches; reassembly
-    // stitches them back in row order, dropping parents that lost any
-    // chunk to a shed or an injected failure.
-    let nested: Vec<Vec<ChunkResponse>> =
-        fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.tables));
-    let responses: Vec<Response> = assemble_chunks(nested.into_iter().flatten().collect());
-    let metrics = ServeMetrics::aggregate(
-        &pipe.ledger,
-        &responses,
-        RobustTotals::default(),
-        pipe.wall_ns,
-        cfg.workers.max(1),
-    );
+    let one = ClusterConfig {
+        replicas: 1,
+        server: cfg.clone(),
+        max_inflight: usize::MAX,
+        service: ClusterService {
+            service_ns: service.service_ns,
+            per_item_ns: service.per_item_ns,
+            cold_start_ns: 0,
+        },
+        ..ClusterConfig::default()
+    };
+    let state = simulate(&one, jobs);
+    let responses = assemble_chunks(state.render().into_iter().flatten().collect());
+    let pipe = &state.replicas[0].pipe;
+    let digest = response_set_digest(&responses);
+    let metrics = ServeMetrics::aggregate(&pipe.ledger, digest, pipe.wall_ns, cfg.workers.max(1));
     ServeReport { responses, metrics }
 }
 

@@ -15,14 +15,14 @@
 //!   datapath pays off per request). It takes `u64` nanoseconds on its
 //!   caller's clock and does no threading itself: the live [`Server`]
 //!   drives it from a scheduler thread over [`fnr_par::mpmc::Lanes`] and
-//!   the server epoch, while [`run_virtual`] and [`run_cluster`] drive it
-//!   from a discrete-event loop on a virtual clock,
+//!   the server epoch, while [`run_cluster`] drives it from one
+//!   discrete-event loop on a virtual clock — and [`run_virtual`] *is*
+//!   that loop with one fault-free replica, by construction,
 //! * **one outcome ledger** per pipeline: every reject, shed, downgrade,
-//!   failure and served chunk is recorded there, by the live workers, the
-//!   virtual pipelines and the cluster hedge arbiter alike, and
-//!   [`ServeMetrics`] is a fold over it — so every mode counts the same
-//!   way, and the virtual and cluster runs check chunk conservation
-//!   against it,
+//!   failure, served chunk, retry, worker respawn and breaker trip is
+//!   recorded there, and [`ServeMetrics`] is a fold over it — so every
+//!   mode counts the same way, and the virtual and cluster runs check
+//!   chunk conservation against it,
 //! * a supervised worker pool ([`supervise`]) driving `fnr_nerf`'s
 //!   batched render entry points and registered `fnr_bench` table
 //!   generators — panicking batches are bisected to isolate poisoned

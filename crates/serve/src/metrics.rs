@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use crate::batch::{Batch, FlushReason};
-use crate::request::{BatchKey, Request, Response};
+use crate::request::{BatchKey, Request};
 use crate::sched::{Priority, SchedConfig};
 
 /// How one chunk unit left a pipeline.
@@ -74,9 +74,11 @@ struct BatchMetric {
 /// Everything one serving pipeline decided about its traffic, in chunk
 /// units: per-lane admission rejects and brownout downgrades, one
 /// [`Terminal`] per served, shed or failed chunk, and one record per
-/// executed batch. The live server, the virtual pipeline and the cluster
-/// hedge arbiter all record here, and [`ServeMetrics::aggregate`] folds
-/// it — so every mode counts the same way.
+/// executed batch — plus the live supervisor's retry and respawn counts
+/// and the breaker's totals. The live server, the virtual pipeline and
+/// the cluster hedge arbiter all record here, and
+/// [`ServeMetrics::aggregate`] folds it — so every mode counts the same
+/// way.
 #[derive(Debug, Clone)]
 pub(crate) struct Ledger {
     sched: SchedConfig,
@@ -84,6 +86,14 @@ pub(crate) struct Ledger {
     degraded: Vec<usize>,
     terminals: Vec<Terminal>,
     batches: Vec<BatchMetric>,
+    /// Re-execution attempts of quarantined requests (each retry counts).
+    pub(crate) retried: usize,
+    /// Crashed workers the supervisor respawned.
+    pub(crate) worker_restarts: usize,
+    /// Times a per-key circuit breaker tripped open.
+    pub(crate) breaker_opened: usize,
+    /// Half-open probes the breaker admitted after cooldowns.
+    pub(crate) breaker_half_open_probes: usize,
 }
 
 impl Ledger {
@@ -96,7 +106,16 @@ impl Ledger {
             degraded: vec![0; lanes],
             terminals: Vec::new(),
             batches: Vec::new(),
+            retried: 0,
+            worker_restarts: 0,
+            breaker_opened: 0,
+            breaker_half_open_probes: 0,
         }
+    }
+
+    /// Batches executed so far.
+    pub(crate) fn batch_count(&self) -> usize {
+        self.batches.len()
     }
 
     /// `units` chunk units of a `priority` request never entered their
@@ -152,20 +171,6 @@ impl Ledger {
              + failed {failed} + front door {front_door} != submitted chunks {submitted}"
         );
     }
-}
-
-/// Robustness totals only the supervisor/breaker know — handed to
-/// [`ServeMetrics::aggregate`] alongside the ledger.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RobustTotals {
-    /// Crashed workers the supervisor respawned.
-    pub(crate) worker_restarts: usize,
-    /// Re-execution attempts of quarantined requests (each retry counts).
-    pub(crate) retried: usize,
-    /// Times a per-key circuit breaker tripped open.
-    pub(crate) breaker_opened: usize,
-    /// Half-open probes the breaker admitted after cooldowns.
-    pub(crate) breaker_half_open_probes: usize,
 }
 
 /// Aggregated per-lane serving outcome: every admitted request of the lane
@@ -438,15 +443,9 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Folds a pipeline's [`Ledger`] (lane order comes from its
-    /// `SchedConfig`) plus the response set, the supervisor's totals and
-    /// the run's clock into the report.
-    pub(crate) fn aggregate(
-        ledger: &Ledger,
-        responses: &[Response],
-        robust: RobustTotals,
-        wall_ns: u64,
-        workers: usize,
-    ) -> Self {
+    /// `SchedConfig`) plus the digest of its answers and the run's clock
+    /// into the report.
+    pub(crate) fn aggregate(ledger: &Ledger, digest: u64, wall_ns: u64, workers: usize) -> Self {
         let mut lanes: Vec<LaneStats> = ledger
             .sched
             .lanes
@@ -523,10 +522,10 @@ impl ServeMetrics {
             expired: lanes.iter().map(|l| l.expired).sum(),
             failed: lanes.iter().map(|l| l.failed).sum(),
             degraded: lanes.iter().map(|l| l.degraded).sum(),
-            retried: robust.retried,
-            worker_restarts: robust.worker_restarts,
-            breaker_opened: robust.breaker_opened,
-            breaker_half_open_probes: robust.breaker_half_open_probes,
+            retried: ledger.retried,
+            worker_restarts: ledger.worker_restarts,
+            breaker_opened: ledger.breaker_opened,
+            breaker_half_open_probes: ledger.breaker_half_open_probes,
             lanes,
             batches: batches.len(),
             mean_occupancy: mean(&mut batches.iter().map(|b| b.size)),
@@ -549,7 +548,7 @@ impl ServeMetrics {
             wall_ns,
             workers,
             threads: fnr_par::current_num_threads(),
-            digest: crate::request::response_set_digest(responses),
+            digest,
         }
     }
 
@@ -676,32 +675,6 @@ pub struct ReplicaStats {
     pub metrics: ServeMetrics,
 }
 
-/// The counters only the cluster front door (router + hedging + admission
-/// control) knows — bundled so [`ClusterMetrics::aggregate`] stays
-/// readable as the layer grows.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FrontDoorTotals {
-    /// Requests dropped at the front door for any reason (no routable
-    /// replica, or overload admission). Includes `overload_shed`.
-    pub(crate) front_door_shed: usize,
-    /// The CoDel-admission subset of `front_door_shed`: Batch-class
-    /// arrivals shed because the target replica was in its dropping
-    /// state.
-    pub(crate) overload_shed: usize,
-    /// Requests that got a hedge copy placed on a second replica.
-    pub(crate) hedged: usize,
-    /// Hedged requests whose *hedge* copy completed first.
-    pub(crate) hedge_won: usize,
-    /// Hedged requests where the hedge copy lost (primary won, or the
-    /// request terminated non-served). `hedged == hedge_won +
-    /// hedge_wasted` always.
-    pub(crate) hedge_wasted: usize,
-    /// Replicas added by `join@T` scale-out events.
-    pub(crate) joins: usize,
-    /// Replicas drained by `leave@T:R` scale-in events.
-    pub(crate) leaves: usize,
-}
-
 /// Aggregate metrics for one cluster simulation run: cluster-wide totals
 /// plus every replica's [`ReplicaStats`]. The cluster latency histogram
 /// is the exact bucketwise merge of the replica histograms.
@@ -774,56 +747,6 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Builds the cluster aggregate from per-replica stats plus the
-    /// front-door counters only the router knows.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn aggregate(
-        replicas: Vec<ReplicaStats>,
-        submitted: usize,
-        submitted_chunks: usize,
-        completed: usize,
-        front_door: FrontDoorTotals,
-        wall_ns: u64,
-        workers_per_replica: usize,
-        threads: usize,
-        digest: u64,
-    ) -> Self {
-        let mut latency_hist = LatencyHistogram::new();
-        let mut first_chunk_hist = LatencyHistogram::new();
-        for r in &replicas {
-            latency_hist = latency_hist.merge(&r.metrics.latency_hist);
-            first_chunk_hist = first_chunk_hist.merge(&r.metrics.first_chunk_hist);
-        }
-        ClusterMetrics {
-            submitted,
-            submitted_chunks,
-            completed,
-            served: replicas.iter().map(|r| r.metrics.chunks_served).sum(),
-            shed: replicas.iter().map(|r| r.metrics.shed).sum(),
-            front_door_shed: front_door.front_door_shed,
-            overload_shed: front_door.overload_shed,
-            hedged: front_door.hedged,
-            hedge_won: front_door.hedge_won,
-            hedge_wasted: front_door.hedge_wasted,
-            joins: front_door.joins,
-            leaves: front_door.leaves,
-            suspects: replicas.iter().map(|r| r.suspects).sum(),
-            expired: replicas.iter().map(|r| r.metrics.expired).sum(),
-            rejected: replicas.iter().map(|r| r.metrics.rejected).sum(),
-            failed: replicas.iter().map(|r| r.metrics.failed).sum(),
-            failed_over: replicas.iter().map(|r| r.failed_over_in).sum(),
-            kills: replicas.iter().map(|r| r.kills).sum(),
-            restarts: replicas.iter().map(|r| r.restarts).sum(),
-            latency_hist,
-            first_chunk_hist,
-            wall_ns,
-            workers_per_replica,
-            threads,
-            digest,
-            replicas,
-        }
-    }
-
     /// Every submitted chunk unit must terminate exactly once somewhere
     /// in the cluster: served, scheduler-shed, rejected at an admission
     /// edge, failed under fault injection, or dropped at the front door.
@@ -989,7 +912,7 @@ mod tests {
     }
 
     fn fold(l: &Ledger) -> ServeMetrics {
-        ServeMetrics::aggregate(l, &[], RobustTotals::default(), 0, 1)
+        ServeMetrics::aggregate(l, 0, 0, 1)
     }
 
     #[test]
@@ -1054,13 +977,11 @@ mod tests {
         l.record(Terminal::shed(&req(9, 1, 0, 1, None), 5_000));
         l.record(Terminal::failed(&req(10, 0, 0, 1, None), 7_000));
         l.degrade(0);
-        let robust = RobustTotals {
-            worker_restarts: 1,
-            retried: 2,
-            breaker_opened: 1,
-            breaker_half_open_probes: 1,
-        };
-        let m = ServeMetrics::aggregate(&l, &[], robust, 42, 3);
+        l.worker_restarts = 1;
+        l.retried = 2;
+        l.breaker_opened = 1;
+        l.breaker_half_open_probes = 1;
+        let m = ServeMetrics::aggregate(&l, 0, 42, 3);
         let j = m.to_json();
         // The schema bump: /4 carries the streaming fields alongside
         // everything /3 had (robustness counters, lanes array, totals).

@@ -290,7 +290,9 @@ pub enum ChunkOutcome {
     Shed,
     /// The chunk failed terminally (quarantine, breaker, budget).
     Failed(String),
-    /// The server shut down before the chunk resolved.
+    /// The server shut down before the chunk resolved, or the id was
+    /// never admitted, or the index is out of range (all resolve at once
+    /// except the shutdown).
     Closed,
 }
 
@@ -414,7 +416,13 @@ pub(crate) fn fnv1a_with(state: u64, bytes: &[u8]) -> u64 {
 /// produce the same digest — and any `FNR_THREADS`/worker-count setting
 /// must too (the serve equivalence suite enforces it).
 pub fn response_set_digest(responses: &[Response]) -> u64 {
-    let mut hashes: Vec<u64> = responses.iter().map(|r| fnv1a(&r.bytes)).collect();
+    payload_set_digest(responses.iter().map(|r| r.bytes.as_slice()))
+}
+
+/// [`response_set_digest`] over bare payloads (e.g. one replica's served
+/// chunks), without building `Response`s around them.
+pub(crate) fn payload_set_digest<'a>(payloads: impl Iterator<Item = &'a [u8]>) -> u64 {
+    let mut hashes: Vec<u64> = payloads.map(fnv1a).collect();
     hashes.sort_unstable();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for x in hashes {

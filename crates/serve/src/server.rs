@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,10 +50,10 @@ use fnr_tensor::Precision;
 use crate::batch::Batch;
 use crate::dispatch::{Dispatch, Dispatcher};
 use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault, RetryPolicy};
-use crate::metrics::{Ledger, RobustTotals, ServeMetrics, Terminal};
+use crate::metrics::{Ledger, ServeMetrics, Terminal};
 use crate::request::{
-    chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
-    ChunkSpan, RenderPrecision, Request, Response, Workload,
+    chunk_image_bytes, effective_chunks, response_set_digest, row_band, BatchKey, ChunkOutcome,
+    ChunkResponse, ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
 use crate::sched::{Priority, SchedConfig};
 use crate::supervise::{panic_reason, supervisor_loop, CrashReport, SuperviseConfig};
@@ -165,16 +165,9 @@ pub enum WaitOutcome {
     /// supervisor quarantined it and exhausted its retry budget. The
     /// string is the final failure reason.
     Failed(String),
-    /// The server shut down before answering.
+    /// The server shut down before answering, or `id` was never
+    /// admitted (a waiter on an unknown id resolves at once).
     Closed,
-}
-
-/// What the board parks for a finished request.
-#[derive(Debug, Clone)]
-enum Completion {
-    Answered(Response),
-    Shed,
-    Failed(String),
 }
 
 /// One chunk's slot in a request's reassembly stream.
@@ -186,20 +179,47 @@ enum ChunkCell {
     Failed(String),
 }
 
-/// Per-request reassembly slot: one cell per chunk, opened at admission.
-/// Chunks land in any order; the request resolves once every cell is
-/// terminal. Cells stay readable afterwards so streaming clients can
-/// still collect chunks they have not consumed yet.
+/// Per-request reassembly slot: one cell per chunk, opened before
+/// [`Client::admit`] returns the id — so a missing slot means the id was
+/// never admitted. Chunks land in any order; the cells are the only copy
+/// of the payload, and the whole-request outcome is resolved from them.
 struct StreamSlot {
     cells: Vec<ChunkCell>,
     pending: usize,
 }
 
-/// Completion board: outcomes parked until their submitter collects them.
-/// Chunked requests reassemble here — workers post individual chunks, and
-/// the whole-request [`Completion`] materializes (failure-first, then
-/// shed, then the row-order concatenation of the chunk payloads) when the
-/// last chunk lands.
+impl StreamSlot {
+    /// The whole-request outcome, once every chunk is terminal: any
+    /// failed chunk fails the request (first failure in row order wins),
+    /// else any shed chunk sheds it, else the payload is the row-order
+    /// concatenation of the chunk bytes — byte-identical to the unchunked
+    /// render.
+    fn outcome(&self, id: u64) -> Option<WaitOutcome> {
+        if self.pending > 0 {
+            return None;
+        }
+        let mut bands = Vec::with_capacity(self.cells.len());
+        let mut shed = false;
+        for c in &self.cells {
+            match c {
+                ChunkCell::Failed(reason) => return Some(WaitOutcome::Failed(reason.clone())),
+                ChunkCell::Shed => shed = true,
+                ChunkCell::Served(b) => bands.push(b.as_slice()),
+                ChunkCell::Pending => unreachable!("pending hit zero"),
+            }
+        }
+        Some(if shed {
+            WaitOutcome::Shed
+        } else {
+            WaitOutcome::Answered(Response { id, bytes: bands.concat() })
+        })
+    }
+}
+
+/// Completion board: chunk outcomes parked until their submitter collects
+/// them. Workers post individual chunks into per-request reassembly slots;
+/// whole-request outcomes are resolved from the slots on read and at
+/// drain.
 pub(crate) struct Board {
     state: Mutex<BoardState>,
     ready: Condvar,
@@ -207,18 +227,13 @@ pub(crate) struct Board {
 
 struct BoardState {
     streams: HashMap<u64, StreamSlot>,
-    done: HashMap<u64, Completion>,
     closed: bool,
 }
 
 impl Board {
     fn new() -> Self {
         Board {
-            state: Mutex::new(BoardState {
-                streams: HashMap::new(),
-                done: HashMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(BoardState { streams: HashMap::new(), closed: false }),
             ready: Condvar::new(),
         }
     }
@@ -262,15 +277,14 @@ impl Board {
         self.ready.notify_all();
     }
 
+    /// Parks until request `id` is terminal; an id with no slot was never
+    /// admitted (or was already drained) and resolves `Closed` at once.
     fn wait(&self, id: u64) -> WaitOutcome {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(c) = st.done.get(&id) {
-                return match c {
-                    Completion::Answered(r) => WaitOutcome::Answered(r.clone()),
-                    Completion::Shed => WaitOutcome::Shed,
-                    Completion::Failed(reason) => WaitOutcome::Failed(reason.clone()),
-                };
+            let Some(slot) = st.streams.get(&id) else { return WaitOutcome::Closed };
+            if let Some(outcome) = slot.outcome(id) {
+                return outcome;
             }
             if st.closed {
                 return WaitOutcome::Closed;
@@ -281,34 +295,32 @@ impl Board {
 
     /// Parks until chunk `index` of request `id` is terminal — the
     /// streaming read: chunk 0 typically resolves well before the full
-    /// render, and chunks can be consumed in row order as they land.
+    /// render, and chunks can be consumed in row order as they land. An
+    /// unknown id or an out-of-range index resolves `Closed` at once.
     fn wait_chunk(&self, id: u64, index: u32) -> ChunkOutcome {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(slot) = st.streams.get(&id) {
-                match slot.cells.get(index as usize) {
-                    Some(ChunkCell::Served(bytes)) => return ChunkOutcome::Served(bytes.clone()),
-                    Some(ChunkCell::Shed) => return ChunkOutcome::Shed,
-                    Some(ChunkCell::Failed(reason)) => return ChunkOutcome::Failed(reason.clone()),
-                    Some(ChunkCell::Pending) => {}
-                    None => return ChunkOutcome::Closed, // index out of range
-                }
-            }
-            if st.closed {
-                return ChunkOutcome::Closed;
+            let cell = st.streams.get(&id).and_then(|slot| slot.cells.get(index as usize));
+            match cell {
+                Some(ChunkCell::Served(bytes)) => return ChunkOutcome::Served(bytes.clone()),
+                Some(ChunkCell::Shed) => return ChunkOutcome::Shed,
+                Some(ChunkCell::Failed(reason)) => return ChunkOutcome::Failed(reason.clone()),
+                Some(ChunkCell::Pending) if !st.closed => {}
+                Some(ChunkCell::Pending) | None => return ChunkOutcome::Closed,
             }
             st = self.ready.wait(st).unwrap();
         }
     }
 
+    /// Takes every slot and returns the answered requests, sorted by id;
+    /// later waits resolve `Closed`.
     fn drain_sorted(&self) -> Vec<Response> {
-        let mut st = self.state.lock().unwrap();
-        let mut out: Vec<Response> = st
-            .done
-            .drain()
-            .filter_map(|(_, c)| match c {
-                Completion::Answered(r) => Some(r),
-                Completion::Shed | Completion::Failed(_) => None,
+        let streams = std::mem::take(&mut self.state.lock().unwrap().streams);
+        let mut out: Vec<Response> = streams
+            .into_iter()
+            .filter_map(|(id, slot)| match slot.outcome(id) {
+                Some(WaitOutcome::Answered(r)) => Some(r),
+                _ => None,
             })
             .collect();
         out.sort_unstable_by_key(|r| r.id);
@@ -317,49 +329,14 @@ impl Board {
 }
 
 impl BoardState {
-    /// Lands one terminal chunk cell; resolves the whole request when its
-    /// last chunk lands. Resolution order: any failed chunk fails the
-    /// request (first failure in row order wins), else any shed chunk
-    /// sheds it, else the payload is the row-order concatenation of the
-    /// chunk bytes — byte-identical to the unchunked render.
+    /// Lands one terminal chunk cell (the first outcome of a cell wins).
     fn land(&mut self, id: u64, index: u32, cell: ChunkCell) {
         let Some(slot) = self.streams.get_mut(&id) else { return };
         let Some(target) = slot.cells.get_mut(index as usize) else { return };
-        if !matches!(target, ChunkCell::Pending) {
-            return; // already terminal (teardown race) — first outcome wins
+        if matches!(target, ChunkCell::Pending) {
+            *target = cell;
+            slot.pending -= 1;
         }
-        *target = cell;
-        slot.pending -= 1;
-        if slot.pending > 0 {
-            return;
-        }
-        let mut failed: Option<&str> = None;
-        let mut shed = false;
-        let mut len = 0usize;
-        for c in &slot.cells {
-            match c {
-                ChunkCell::Failed(reason) => {
-                    failed = failed.or(Some(reason));
-                }
-                ChunkCell::Shed => shed = true,
-                ChunkCell::Served(b) => len += b.len(),
-                ChunkCell::Pending => unreachable!("pending hit zero"),
-            }
-        }
-        let completion = if let Some(reason) = failed {
-            Completion::Failed(reason.to_string())
-        } else if shed {
-            Completion::Shed
-        } else {
-            let mut bytes = Vec::with_capacity(len);
-            for c in &slot.cells {
-                if let ChunkCell::Served(b) = c {
-                    bytes.extend_from_slice(b);
-                }
-            }
-            Completion::Answered(Response { id, bytes })
-        };
-        self.done.insert(id, completion);
     }
 }
 
@@ -376,12 +353,8 @@ pub(crate) struct ServerShared {
     pub(crate) batches: Queue<Batch>,
     pub(crate) board: Board,
     pub(crate) next_id: AtomicU64,
+    /// Every outcome and robustness counter of the run.
     pub(crate) ledger: Mutex<Ledger>,
-    /// Batches completed successfully — the supervisor reads this to
-    /// reset its consecutive-crash streak.
-    pub(crate) served_batches: AtomicUsize,
-    pub(crate) worker_restarts: AtomicUsize,
-    pub(crate) retried: AtomicUsize,
     pub(crate) breaker: Mutex<CircuitBreaker>,
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
@@ -503,8 +476,9 @@ impl Client {
     }
 
     /// Parks until request `id` completes (closed-loop clients). `None`
-    /// if it was shed, failed, or the server shut down without answering —
-    /// use [`Client::wait_outcome`] to tell the cases apart.
+    /// if it was shed, failed, never admitted, or the server shut down
+    /// without answering — use [`Client::wait_outcome`] to tell the cases
+    /// apart.
     pub fn wait(&self, id: u64) -> Option<Response> {
         match self.shared.board.wait(id) {
             WaitOutcome::Answered(r) => Some(r),
@@ -514,7 +488,8 @@ impl Client {
 
     /// Parks until request `id` completes and reports how it left the
     /// server: answered, shed by the deadline policy, failed under
-    /// quarantine, or lost to shutdown.
+    /// quarantine, or lost to shutdown. An id this server never admitted
+    /// resolves [`WaitOutcome::Closed`] at once.
     pub fn wait_outcome(&self, id: u64) -> WaitOutcome {
         self.shared.board.wait(id)
     }
@@ -524,7 +499,8 @@ impl Client {
     /// 0 (which carries the payload header) is typically available long
     /// before the full render; consuming chunks `0..of` in order yields
     /// exactly the bytes [`Client::wait`] would return, incrementally. An
-    /// out-of-range index resolves as [`ChunkOutcome::Closed`].
+    /// out-of-range index or a never-admitted id resolves as
+    /// [`ChunkOutcome::Closed`] at once.
     pub fn wait_chunk(&self, id: u64, index: u32) -> ChunkOutcome {
         self.shared.board.wait_chunk(id, index)
     }
@@ -579,9 +555,6 @@ impl Server {
             board: Board::new(),
             next_id: AtomicU64::new(0),
             ledger: Mutex::new(Ledger::new(&cfg.sched)),
-            served_batches: AtomicUsize::new(0),
-            worker_restarts: AtomicUsize::new(0),
-            retried: AtomicUsize::new(0),
             breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
             injector: cfg.injector,
             retry: cfg.retry,
@@ -628,22 +601,14 @@ impl Server {
         self.shutdown();
         let sh = &self.shared;
         let responses = sh.board.drain_sorted();
-        let robust = {
+        let mut ledger = sh.ledger.lock().unwrap();
+        {
             let breaker = sh.breaker.lock().unwrap();
-            RobustTotals {
-                worker_restarts: sh.worker_restarts.load(Ordering::Relaxed),
-                retried: sh.retried.load(Ordering::Relaxed),
-                breaker_opened: breaker.opened(),
-                breaker_half_open_probes: breaker.half_open_probes(),
-            }
-        };
-        let metrics = ServeMetrics::aggregate(
-            &sh.ledger.lock().unwrap(),
-            &responses,
-            robust,
-            sh.now_ns(),
-            sh.workers,
-        );
+            ledger.breaker_opened = breaker.opened();
+            ledger.breaker_half_open_probes = breaker.half_open_probes();
+        }
+        let digest = response_set_digest(&responses);
+        let metrics = ServeMetrics::aggregate(&ledger, digest, sh.now_ns(), sh.workers);
         ServeReport { responses, metrics }
     }
 
@@ -787,14 +752,12 @@ pub(crate) fn worker_loop(shared: &Arc<ServerShared>, crash_tx: mpsc::Sender<Cra
 /// supervisor's bisection re-executions so both paths stay identical.
 pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), CrashReport> {
     // Circuit-breaker gate: an open key fast-fails the whole batch
-    // without executing (or crashing) anything.
-    if shared.breaker.lock().unwrap().enabled() {
-        let now = shared.now_ns();
-        let allowed = shared.breaker.lock().unwrap().allow(&batch.key, now);
-        if !allowed {
-            fail_batch(shared, &batch, &format!("circuit open for key {}", batch.key));
-            return Ok(());
-        }
+    // without executing (or crashing) anything. A disabled breaker
+    // allows everything.
+    let allowed = shared.breaker.lock().unwrap().allow(&batch.key, shared.now_ns());
+    if !allowed {
+        fail_batch(shared, &batch, &format!("circuit open for key {}", batch.key));
+        return Ok(());
     }
     // Injected delay: slow the batch down by the largest member delay.
     // Timing-only — payload bytes cannot move.
@@ -831,7 +794,6 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
                 }
             }
             shared.breaker.lock().unwrap().record_success(&batch.key);
-            shared.served_batches.fetch_add(1, Ordering::Relaxed);
             shared.board.post_served(responses);
             Ok(())
         }

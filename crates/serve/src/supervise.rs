@@ -107,7 +107,8 @@ pub(crate) fn supervisor_loop(
     let mut respawned: Vec<JoinHandle<()>> = Vec::new();
     let mut workers_alive = shared.workers;
     let mut streak: u32 = 0;
-    let mut last_served = shared.served_batches.load(Ordering::Relaxed);
+    let served_batches = || shared.ledger.lock().unwrap().batch_count();
+    let mut last_served = served_batches();
     // Per-chunk attempt counts for quarantined culprits, keyed
     // `(request id, chunk index)` — each chunk of a poisoned request
     // retries and fails independently.
@@ -116,7 +117,7 @@ pub(crate) fn supervisor_loop(
         match crash_rx.recv_timeout(Duration::from_millis(2)) {
             Ok(report) => {
                 workers_alive -= 1;
-                let served = shared.served_batches.load(Ordering::Relaxed);
+                let served = served_batches();
                 if served != last_served {
                     last_served = served;
                     streak = 0;
@@ -125,7 +126,7 @@ pub(crate) fn supervisor_loop(
                 quarantine(shared, report.batch, report.reason, &mut attempts);
                 if streak <= shared.supervise.restart_budget {
                     std::thread::sleep(shared.supervise.respawn_backoff(streak));
-                    shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                    shared.ledger.lock().unwrap().worker_restarts += 1;
                     let sh = Arc::clone(shared);
                     let tx = crash_tx.clone();
                     respawned.push(std::thread::spawn(move || worker_loop(&sh, tx)));
@@ -182,7 +183,7 @@ pub(crate) fn quarantine(
             *n
         };
         if attempt < shared.retry.max_attempts {
-            shared.retried.fetch_add(1, Ordering::Relaxed);
+            shared.ledger.lock().unwrap().retried += 1;
             std::thread::sleep(Duration::from_nanos(shared.retry.backoff_for(hash, attempt)));
             if let Err(crash) = attempt_batch(shared, batch) {
                 quarantine(shared, crash.batch, crash.reason, attempts);

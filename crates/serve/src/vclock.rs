@@ -1,24 +1,24 @@
-//! The single-threaded discrete-event driver of the serving core, shared
-//! by the one-server virtual harness ([`crate::run_virtual`]) and the
-//! cluster simulator ([`crate::cluster::run_cluster`]): per-lane bounded
+//! One replica's serving pipeline on a virtual clock: per-lane bounded
 //! queues → the [`Dispatcher`] (the same scheduler, brownout and batcher
 //! the threaded server runs) → a `2 × workers` batch queue → virtual
-//! workers, all on one injected virtual clock, recording into the same
-//! [`Ledger`] the threaded server keeps.
+//! workers, recording into the same [`Ledger`] the threaded server keeps.
 //!
-//! Every scheduling decision is a deterministic function of the admitted
-//! schedule and the clock; batches are only *decided* here and rendered
-//! for real afterwards, so thread width can never move an outcome. The
-//! cluster layer adds three things the single-server harness leaves
-//! dormant: a per-replica inflight gauge (router admission control), a
-//! per-`(scene, precision)` model cache whose cold misses stretch the
-//! batch's virtual service time, and [`VirtualPipeline::kill`] — the
-//! fault-injection hook that orphans everything in flight so the front
-//! door can fail it over.
+//! The pipeline owns no event loop: the cluster simulator
+//! ([`crate::cluster::run_cluster`]) advances every replica's timers on
+//! one shared clock, and [`crate::run_virtual`] *is* that simulator with
+//! one fault-free replica. Every scheduling decision is a deterministic
+//! function of the admitted schedule and the clock; batches are only
+//! *decided* here and rendered for real afterwards, so thread width can
+//! never move an outcome. Besides the dispatch core a replica keeps an
+//! inflight gauge (router admission control), a per-`(scene, precision)`
+//! model cache whose cold misses stretch the batch's virtual service
+//! time, and [`VirtualPipeline::kill`] — the fault-injection hook that
+//! orphans everything in flight so the front door can fail it over.
 
 use std::collections::{HashSet, VecDeque};
 
 use crate::batch::Batch;
+use crate::cluster::ClusterService;
 use crate::dispatch::{Dispatch, Dispatcher};
 use crate::fault::{FaultInjector, InjectedFault};
 use crate::metrics::{Ledger, Terminal};
@@ -54,8 +54,7 @@ struct Running {
 }
 
 /// One externally visible pipeline event, emitted (only when event
-/// tracking is on — cluster mode) at the instant it happens, in event
-/// order. The cluster layer drains these after every fire/pump to feed
+/// tracking is on) at the instant it happens, in event order. The cluster layer drains these after every fire/pump to feed
 /// the failure detector (completions are the heartbeat), the CoDel
 /// admission controller (queue delays at service start) and the hedging
 /// arbiter (who started/completed/lost first).
@@ -101,16 +100,12 @@ pub(crate) struct VirtualPipeline {
     cfg: ServerConfig,
     caps: Vec<usize>,
     batch_q_cap: usize,
-    service_ns: u64,
-    /// Size-aware service: extra virtual time per batch member, so a fat
-    /// batch costs more than a singleton and overload is a function of
-    /// batch composition. Zero (the default) reproduces the flat model.
-    per_item_ns: u64,
+    /// Per-batch, per-member and cold-start service costs.
+    service: ClusterService,
     /// Gray-failure injection: every batch's virtual service time is
     /// multiplied by this (the `slow@T:R:F` fault). 1 = nominal speed.
     slow_factor: u64,
-    cold_start_ns: u64,
-    cache: Option<ModelCache>,
+    cache: ModelCache,
     /// Seeded chaos: a poisoned request fails the moment a worker would
     /// take its batch (mirroring the live quarantine outcome, minus the
     /// real-time retry loop); a delayed one stretches its batch's virtual
@@ -128,9 +123,8 @@ pub(crate) struct VirtualPipeline {
     /// Requests admitted and not yet terminal (served, shed, or orphaned
     /// by a kill) — the router's per-replica admission-control gauge.
     inflight: usize,
-    /// Whether to emit [`PipeEvent`]s (cluster mode with health, hedging
-    /// or admission control on). Off by default: the single-server
-    /// harness and the plain cluster pay nothing.
+    /// Whether to emit [`PipeEvent`]s (health, hedging or admission
+    /// control on). Off otherwise, so a plain run pays nothing.
     track_events: bool,
     /// Events since the last [`VirtualPipeline::take_events`].
     events: Vec<PipeEvent>,
@@ -151,31 +145,24 @@ pub(crate) struct VirtualPipeline {
 }
 
 impl VirtualPipeline {
-    /// A pipeline for `cfg` with flat per-batch service time `service_ns`;
-    /// `with_cache` enables the modeled model cache (cold render keys pay
-    /// `cold_start_ns` extra on their first batch after a cold start), and
-    /// `injector` optionally adds seeded chaos (the same injector type —
-    /// and seeds — the live server takes).
+    /// A cold pipeline for `cfg` under the `service` cost model (cold
+    /// render keys pay `service.cold_start_ns` extra on their first batch
+    /// after a cold start). `injector` optionally adds seeded chaos (the
+    /// same injector type — and seeds — the live server takes);
+    /// `track_events` turns on [`PipeEvent`] emission.
     pub(crate) fn new(
         cfg: &ServerConfig,
-        service_ns: u64,
-        cold_start_ns: u64,
-        with_cache: bool,
+        service: ClusterService,
         injector: Option<FaultInjector>,
+        track_events: bool,
     ) -> Self {
         let caps = cfg.sched.capacities(cfg.queue_capacity);
         let workers = cfg.workers.max(1);
         VirtualPipeline {
             batch_q_cap: workers * 2,
-            service_ns: service_ns.max(1),
-            per_item_ns: 0,
+            service: ClusterService { service_ns: service.service_ns.max(1), ..service },
             slow_factor: 1,
-            cold_start_ns,
-            cache: with_cache.then(|| ModelCache {
-                warm: HashSet::new(),
-                hits: 0,
-                misses: 0,
-            }),
+            cache: ModelCache { warm: HashSet::new(), hits: 0, misses: 0 },
             injector: injector.filter(|i| !i.is_empty()),
             dispatch: Dispatcher::new(cfg),
             vlanes: caps.iter().map(|_| VecDeque::new()).collect(),
@@ -183,7 +170,7 @@ impl VirtualPipeline {
             batch_q: VecDeque::new(),
             workers: (0..workers).map(|_| VWorker { free_at: 0, running: None }).collect(),
             inflight: 0,
-            track_events: false,
+            track_events,
             events: Vec::new(),
             hedged: HashSet::new(),
             suppressed: HashSet::new(),
@@ -201,11 +188,6 @@ impl VirtualPipeline {
         self.inflight
     }
 
-    /// Sets the size-aware per-member service cost.
-    pub(crate) fn set_per_item_ns(&mut self, per_item_ns: u64) {
-        self.per_item_ns = per_item_ns;
-    }
-
     /// Sets the gray-failure service-time multiplier (`slow@T:R:F`);
     /// factor 1 restores nominal speed. Batches already in service keep
     /// their committed completion time — only future takes slow down.
@@ -216,11 +198,6 @@ impl VirtualPipeline {
     /// The current gray-failure multiplier.
     pub(crate) fn slow_factor(&self) -> u64 {
         self.slow_factor
-    }
-
-    /// Turns on [`PipeEvent`] emission (cluster resilience mode).
-    pub(crate) fn enable_event_tracking(&mut self) {
-        self.track_events = true;
     }
 
     /// Drains the events emitted since the last call, in event order.
@@ -288,10 +265,9 @@ impl VirtualPipeline {
         CancelOutcome::NotFound
     }
 
-    /// Cumulative `(hits, misses)` of the modeled model cache (zeros when
-    /// the cache is disabled).
+    /// Cumulative `(hits, misses)` of the modeled model cache.
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        self.cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses))
+        (self.cache.hits, self.cache.misses)
     }
 
     /// Admits `req` at virtual time `at`. A full (or zero-capacity) lane
@@ -300,13 +276,12 @@ impl VirtualPipeline {
     /// `arrival_ns` and deadline, so its queue latency honestly includes
     /// the time it wasted on the dead replica.
     pub(crate) fn admit_request(&mut self, req: Request, at: u64) -> bool {
-        let lane = self.cfg.sched.lane_of(req.priority);
         self.wall_ns = self.wall_ns.max(at);
-        if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
+        if !self.lane_has_room(&req) {
             self.ledger.reject(req.priority, 1);
             return false;
         }
-        self.vlanes[lane].push_back(req);
+        self.vlanes[self.cfg.sched.lane_of(req.priority)].push_back(req);
         self.inflight += 1;
         true
     }
@@ -316,14 +291,14 @@ impl VirtualPipeline {
     /// existed (the primary copy still owns the request), so it must not
     /// perturb the conservation law.
     pub(crate) fn admit_hedge(&mut self, req: Request, at: u64) -> bool {
+        self.lane_has_room(&req) && self.admit_request(req, at)
+    }
+
+    /// Whether `req`'s lane can take one more chunk (a zero-capacity lane
+    /// never can).
+    fn lane_has_room(&self, req: &Request) -> bool {
         let lane = self.cfg.sched.lane_of(req.priority);
-        if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
-            return false;
-        }
-        self.wall_ns = self.wall_ns.max(at);
-        self.vlanes[lane].push_back(req);
-        self.inflight += 1;
-        true
+        self.vlanes[lane].len() < self.caps[lane]
     }
 
     /// Earliest pending timer: a busy worker finishing or a linger expiry.
@@ -340,18 +315,6 @@ impl VirtualPipeline {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Fires every timer up to `to` (in time order), pumping after each.
-    pub(crate) fn advance_to(&mut self, now: &mut u64, to: u64) {
-        while let Some(t) = self.next_event(*now) {
-            if t > to {
-                break;
-            }
-            *now = t;
-            self.fire(t);
-        }
-        *now = to.max(*now);
     }
 
     /// One timer firing at `t`: finished batches complete, linger-expired
@@ -405,17 +368,15 @@ impl VirtualPipeline {
     /// and never pay it) — all stretched by the gray-failure slow factor.
     /// Chaos-injected delays are added by the caller, unscaled.
     fn service_for(&mut self, batch: &Batch) -> u64 {
-        let mut svc = self
-            .service_ns
-            .saturating_add(self.per_item_ns.saturating_mul(batch.requests.len() as u64));
-        if let Some(cache) = &mut self.cache {
-            if matches!(batch.key, BatchKey::Render(..)) {
-                if cache.warm.insert(batch.key.clone()) {
-                    cache.misses += 1;
-                    svc = svc.saturating_add(self.cold_start_ns);
-                } else {
-                    cache.hits += 1;
-                }
+        let s = self.service;
+        let mut svc =
+            s.service_ns.saturating_add(s.per_item_ns.saturating_mul(batch.requests.len() as u64));
+        if matches!(batch.key, BatchKey::Render(..)) {
+            if self.cache.warm.insert(batch.key.clone()) {
+                self.cache.misses += 1;
+                svc = svc.saturating_add(s.cold_start_ns);
+            } else {
+                self.cache.hits += 1;
             }
         }
         svc.saturating_mul(self.slow_factor)
@@ -543,21 +504,6 @@ impl VirtualPipeline {
             || self.workers.iter().any(|w| w.running.is_some())
     }
 
-    /// Keeps firing timers until the pipeline is empty. Every queued
-    /// request either rides a linger/size flush or sheds; termination
-    /// needs no shutdown drain because virtual time always reaches the
-    /// linger.
-    pub(crate) fn drain(&mut self, now: &mut u64) {
-        while self.has_pending() {
-            let t = self
-                .next_event(*now)
-                .expect("pending virtual work always has a next timer");
-            *now = t;
-            self.fire(t);
-        }
-        self.finalize(*now);
-    }
-
     /// Locks in the final wall clock once no more events will reach this
     /// pipeline.
     pub(crate) fn finalize(&mut self, now: u64) {
@@ -602,9 +548,7 @@ impl VirtualPipeline {
         self.hedged.clear();
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
         self.dispatch = Dispatcher::new(&self.cfg);
-        if let Some(cache) = &mut self.cache {
-            cache.warm.clear();
-        }
+        self.cache.warm.clear();
         self.inflight = 0;
         self.wall_ns = self.wall_ns.max(t);
         orphans

@@ -5,12 +5,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fnr_serve::workload::{generate, ArrivalPattern, WorkloadSpec};
 use fnr_serve::{
-    response_set_digest, run, run_closed_loop, run_open_loop, Priority, RenderJob,
+    response_set_digest, run, run_closed_loop, run_open_loop, ChunkOutcome, Priority, RenderJob,
     RenderPrecision, SceneKind, SchedConfig, ServerConfig, SubmitError, WaitOutcome, Workload,
 };
 
@@ -225,6 +225,38 @@ fn drive_closure_panic_shuts_down_instead_of_deadlocking() {
     let payload = outcome.expect_err("drive panic must resurface");
     let msg = payload.downcast_ref::<&str>().copied().unwrap_or("<other>");
     assert!(msg.contains("driver exploded"), "original panic preserved: {msg}");
+}
+
+/// A wait on an id the server never admitted must resolve `Closed` at
+/// once instead of parking until the server drains — inside `run(..)`
+/// that drain only comes after the drive closure returns, so a parked
+/// waiter would hang the closure forever.
+#[test]
+fn waits_on_never_admitted_ids_resolve_closed_without_hanging() {
+    let cfg = ServerConfig { chunks: 2, ..ServerConfig::default() };
+    let ((outcome, waiter), report) = run(&cfg, |client| {
+        let admitted = client.submit(tiny_render(0)).unwrap();
+        let unknown = admitted + 1_000;
+        let c = client.clone();
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send((
+                c.wait(unknown),
+                c.wait_outcome(unknown),
+                c.wait_chunk(unknown, 0),
+                c.wait_chunk(admitted, 7),
+            ));
+        });
+        (rx.recv_timeout(Duration::from_secs(2)), waiter)
+    });
+    // The drain has closed the board, so even a parked waiter is done.
+    waiter.join().expect("waiter thread panicked");
+    assert_eq!(
+        outcome,
+        Ok((None, WaitOutcome::Closed, ChunkOutcome::Closed, ChunkOutcome::Closed)),
+        "unknown ids and out-of-range chunks resolve Closed without waiting for drain"
+    );
+    assert_eq!(report.responses.len(), 1, "the admitted request still serves");
 }
 
 #[test]

@@ -204,12 +204,13 @@ fn virtual_clock_scheduling_is_byte_identical_at_any_width() {
 
 #[test]
 fn single_replica_cluster_reproduces_run_virtual() {
-    // Regression pin for the cluster refactor: a 1-replica cluster with
-    // no faults, a free model cache and an unbounded front door is
-    // *exactly* `run_virtual` — same per-lane counters, same histograms,
-    // same virtual wall clock, same digest, same response bytes. If the
-    // cluster layer ever perturbs the single-pipeline semantics it
-    // extracted, this test names the field that moved.
+    // Regression pin for the one discrete-event driver: `run_virtual` is
+    // built as a 1-replica cluster with no faults, a free model cache and
+    // an unbounded front door, so the two must agree *exactly* — same
+    // per-lane counters, same histograms, same virtual wall clock, same
+    // digest, same response bytes. If the two folds (or the config
+    // `run_virtual` builds) ever drift apart, this test names the field
+    // that moved.
     let _g = width_guard();
     fnr_par::set_num_threads(2);
     let spec = WorkloadSpec {
